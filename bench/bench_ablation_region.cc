@@ -28,7 +28,6 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
-#include "runner/report.hh"
 #include "sim/event_queue.hh"
 #include "workload/profiles.hh"
 
@@ -154,7 +153,7 @@ int run(const Options& opt) {
             << ", accesses=" << opt.accesses << ", reps=" << opt.reps << ")\n"
             << table.to_string();
 
-  runner::write_file(opt.out, to_json(results, opt));
+  write_output("bench_ablation_region", opt.out, to_json(results, opt));
   std::cout << "wrote " << opt.out << "\n";
   return 0;
 }

@@ -1,14 +1,39 @@
 // Shared CLI helpers for the chrono-only throughput benches
-// (bench_kernel_throughput, bench_generator_throughput).  Deliberately free
-// of the google-benchmark dependency bench_util.hh carries: these binaries
-// must always build so CI's perf-smoke steps can run them.
+// (bench_kernel_throughput, bench_generator_throughput, bench_trace_replay,
+// bench_ablation_region).  Deliberately free of the google-benchmark
+// dependency bench_util.hh carries: these binaries must always build so
+// CI's perf-smoke steps can run them.
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
+#include <exception>
+#include <iostream>
 #include <string>
 #include <thread>
 
+#include "runner/report.hh"
+
 namespace allarm::bench {
+
+/// Writes `content` to `path` (fsynced, like every report).  An unwritable
+/// path — a missing directory, a read-only file, a device that rejects
+/// fsync — prints "<bench>: cannot write <path>: <reason>" and exits 1
+/// instead of escaping main as an uncaught exception.
+inline void write_output(const char* bench, const std::string& path,
+                         const std::string& content) {
+  try {
+    runner::write_file(path, content);
+  } catch (const std::exception& e) {
+    // fileio errors already lead with the path; say it once.
+    std::string reason = e.what();
+    if (reason.compare(0, path.size() + 2, path + ": ") == 0) {
+      reason.erase(0, path.size() + 2);
+    }
+    std::cerr << bench << ": cannot write " << path << ": " << reason << "\n";
+    std::exit(1);
+  }
+}
 
 /// True when `name` appears in the comma-separated `only` list (an empty
 /// list selects everything).

@@ -33,7 +33,6 @@
 #include "bench_cli.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
-#include "runner/report.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
 
@@ -197,7 +196,7 @@ int run(const Options& opt) {
             << ", reps=" << opt.reps << ")\n"
             << table.to_string();
 
-  runner::write_file(opt.out, to_json(results, opt));
+  write_output("bench_generator_throughput", opt.out, to_json(results, opt));
   std::cout << "wrote " << opt.out << "\n";
   return 0;
 }

@@ -36,7 +36,6 @@
 #include "common/stats.hh"
 #include "core/experiment.hh"
 #include "core/system.hh"
-#include "runner/report.hh"
 #include "sim/event.hh"
 #include "workload/profiles.hh"
 
@@ -220,7 +219,7 @@ int run(const Options& opt) {
             << table.to_string();
 
   const std::string json = to_json(results, opt);
-  runner::write_file(opt.out, json);
+  write_output("bench_kernel_throughput", opt.out, json);
   std::cout << "wrote " << opt.out << "\n";
   return 0;
 }

@@ -30,7 +30,6 @@
 #include "bench_cli.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
-#include "runner/report.hh"
 #include "trace/reader.hh"
 #include "trace/replay.hh"
 #include "workload/profiles.hh"
@@ -114,6 +113,9 @@ std::string to_json(const std::vector<StageResult>& results,
 
 int run(const Options& opt) {
   const std::string trace_path = opt.out + ".capture.altr";
+  // The capture lands next to --out: fail on an unwritable directory now,
+  // with the same message as the report write, not mid-capture.
+  write_output("bench_trace_replay", trace_path, "");
 
   // Capture once (not measured): the trace every stage below consumes.
   core::RunRequest request;
@@ -184,7 +186,7 @@ int run(const Options& opt) {
             << ", accesses=" << opt.accesses << ", reps=" << opt.reps << ")\n"
             << table.to_string();
 
-  runner::write_file(opt.out, to_json(results, opt));
+  write_output("bench_trace_replay", opt.out, to_json(results, opt));
   std::cout << "wrote " << opt.out << "\n";
   std::remove(trace_path.c_str());
   return 0;

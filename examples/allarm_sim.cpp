@@ -15,9 +15,6 @@
 //   --migrate-us N       migrate a random thread every N microseconds
 //   --seed N             RNG seed (default 42)
 //   --full-stats         dump the complete statistic set per run
-//   --par-shards N       split the event queue into N lanes (must divide
-//                        the mesh width; docs/PARALLEL.md)
-//   --par-mode MODE      barrier (default, byte-identical to serial) | lax
 //   --profile            record latency histograms; prints hist.* rows
 //                        (p50/p95/p99/max per metric) after each run
 //   --timeline FILE      write a Chrome trace-event JSON timeline of the
@@ -57,7 +54,6 @@ struct Options {
   bool full_stats = false;
   bool profile = false;
   std::string timeline;
-  parallel::ParConfig par;
 };
 
 [[noreturn]] void usage(int code) {
@@ -66,8 +62,7 @@ struct Options {
       "                  [--mode baseline|allarm|both] [--accesses N]\n"
       "                  [--pf-kb N] [--pf-ways N] [--policy first-touch|interleave]\n"
       "                  [--eviction-buffer] [--serial-probe] [--migrate-us N]\n"
-      "                  [--seed N] [--full-stats] [--par-shards N]\n"
-      "                  [--par-mode barrier|lax] [--profile]\n"
+      "                  [--seed N] [--full-stats] [--profile]\n"
       "                  [--timeline FILE] [--list]\n";
   std::exit(code);
 }
@@ -95,20 +90,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--full-stats") o.full_stats = true;
     else if (a == "--profile") o.profile = true;
     else if (a == "--timeline") o.timeline = value(i);
-    else if (a == "--par-shards") {
-      o.par.shards = std::strtoul(value(i), nullptr, 10);
-      if (o.par.shards == 0) {
-        std::cerr << "--par-shards must be positive\n";
-        usage(2);
-      }
-    } else if (a == "--par-mode") {
-      try {
-        o.par.mode = parallel::par_mode_from_string(value(i));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << '\n';
-        usage(2);
-      }
-    }
     else if (a == "--list") {
       for (const auto& n : workload::benchmark_names()) std::cout << n << '\n';
       std::exit(0);
@@ -133,7 +114,6 @@ core::RunResult run_mode(const Options& o, const SystemConfig& config,
   core::RunOptions options;
   options.seed = o.seed;
   options.migration_interval = ticks_from_ns(1000.0) * o.migrate_us;
-  options.par = o.par;
   options.profile = o.profile;
   OBS_SPAN("sim.run", "sim");
   return system.run(spec, options);
@@ -208,12 +188,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "workload '" << spec.name << "', " << spec.threads.size()
-            << " threads, PF " << o.pf_kb << "kB x" << o.pf_ways << "-way\n";
-  if (o.par.enabled()) {
-    std::cout << "parallel: " << o.par.shards << " event-queue shards, "
-              << parallel::to_string(o.par.mode) << " mode\n";
-  }
-  std::cout << '\n';
+            << " threads, PF " << o.pf_kb << "kB x" << o.pf_ways << "-way\n\n";
 
   std::optional<core::RunResult> base, allarm;
   if (o.mode == "baseline" || o.mode == "both") {

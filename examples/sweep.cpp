@@ -58,7 +58,7 @@
 //                        default for the same reason as --timing
 //   --timeline FILE      write a Chrome trace-event timeline of the
 //                        sweep's wall-clock spans (jobs, journal appends,
-//                        fsyncs, sink writes, PDES windows) to FILE; load
+//                        fsyncs, sink writes) to FILE; load
 //                        it in Perfetto (docs/OBSERVABILITY.md).  Pure
 //                        side effect: reports are byte-identical
 //   --capture DIR        additionally capture every job's executed access
@@ -86,15 +86,6 @@
 //   --failpoints SPEC    deterministic fault injection, e.g.
 //                        'journal.fsync=err@3;fileio.pwrite=torn@7' (also
 //                        via ALLARM_FAILPOINTS; see docs/ROBUSTNESS.md)
-//   --par-shards N       split every job's event queue into N lanes
-//                        (parallel single-simulation; N must divide the
-//                        mesh width; see docs/PARALLEL.md).  Default 1
-//   --par-mode MODE      barrier (default): conservative, byte-identical
-//                        to the serial kernel at any N; lax: slack-bounded
-//                        windows, approximate (changes results and the
-//                        journal spec hash)
-//   --par-slack-ns X     lax window slack in nanoseconds (default:
-//                        4x the partition lookahead)
 //   --list               list available grids and exit
 //
 // Reports are streamed cell by cell — a finished cell is serialized and
@@ -124,7 +115,6 @@
 #include "common/fileio.hh"
 #include "core/experiment.hh"
 #include "obs/timeline.hh"
-#include "parallel/partition.hh"
 #include "runner/grids.hh"
 #include "runner/report.hh"
 #include "runner/sink.hh"
@@ -163,7 +153,6 @@ struct Options {
   double cell_timeout_s = 0.0;
   bool quarantine = false;
   std::string failpoints;
-  parallel::ParConfig par;
 };
 
 [[noreturn]] void usage(int code) {
@@ -177,9 +166,7 @@ struct Options {
       "             [--capture DIR] [--replay DIR]\n"
       "             [--trace FILE]... [--cores LIST] [--list]\n"
       "             [--cell-retries N] [--cell-backoff-ms N]\n"
-      "             [--cell-timeout SEC] [--quarantine] [--failpoints SPEC]\n"
-      "             [--par-shards N] [--par-mode barrier|lax]\n"
-      "             [--par-slack-ns X]\n";
+      "             [--cell-timeout SEC] [--quarantine] [--failpoints SPEC]\n";
   std::exit(code);
 }
 
@@ -279,22 +266,8 @@ runner::SweepSpec make_grid(const Options& options) {
       usage(2);
     }
   }
-  // Fail fast on an impossible partition (shards must divide the mesh
-  // width) instead of surfacing it as N identical per-job failures.
-  if (options.par.enabled()) {
-    for (const runner::ConfigPoint& point : spec.configs) {
-      try {
-        parallel::make_partition(point.config, options.par.shards);
-      } catch (const std::exception& e) {
-        std::cerr << "--par-shards " << options.par.shards << " ("
-                  << point.label << "): " << e.what() << "\n";
-        usage(2);
-      }
-    }
-  }
   spec.capture_dir = options.capture_dir;
   spec.replay_dir = options.replay_dir;
-  spec.par = options.par;
   spec.profile = options.profile;
   return spec;
 }
@@ -403,27 +376,6 @@ Options parse(int argc, char** argv) {
       options.quarantine = true;
     } else if (std::strcmp(arg, "--failpoints") == 0) {
       options.failpoints = value(i);
-    } else if (std::strcmp(arg, "--par-shards") == 0) {
-      options.par.shards =
-          static_cast<std::uint32_t>(std::strtoul(value(i), nullptr, 10));
-      if (options.par.shards == 0) {
-        std::cerr << "--par-shards must be positive\n";
-        usage(2);
-      }
-    } else if (std::strcmp(arg, "--par-mode") == 0) {
-      try {
-        options.par.mode = parallel::par_mode_from_string(value(i));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << "\n";
-        usage(2);
-      }
-    } else if (std::strcmp(arg, "--par-slack-ns") == 0) {
-      const double ns = std::strtod(value(i), nullptr);
-      if (ns <= 0.0) {
-        std::cerr << "--par-slack-ns wants a positive number of ns\n";
-        usage(2);
-      }
-      options.par.slack = ticks_from_ns(ns);
     } else if (std::strcmp(arg, "--list") == 0) {
       list_grids();
       std::exit(0);
@@ -493,10 +445,6 @@ Options parse(int argc, char** argv) {
   if ((!options.traces.empty() || !options.cores.empty()) &&
       options.grid != "trace") {
     std::cerr << "--trace/--cores only apply to --grid trace\n";
-    usage(2);
-  }
-  if (options.par.slack > 0 && options.par.mode != parallel::ParMode::kLax) {
-    std::cerr << "--par-slack-ns only applies to --par-mode lax\n";
     usage(2);
   }
   return options;

@@ -15,10 +15,6 @@ Handles the schema_version-1 report kinds:
 - region (bench_ablation_region): full-System simulated events/sec across
   the directory schemes (baseline, allarm, region at several region
   sizes); the degenerate region/r64 row guards the shared hot path.
-- parallel (bench_parallel): the lane-sharded event kernel (barrier and
-  lax modes, docs/PARALLEL.md) against the serial kernel on the largest
-  stock mesh; the bench itself hard-fails if a barrier row's event count
-  diverges from serial.
 
 Two checks per report:
 
@@ -59,8 +55,6 @@ Refresh the baselines by re-running the same commands CI uses:
         --out bench/baseline/BENCH_trace_replay.json
     ./build/bench_ablation_region --accesses 2000 --reps 5 \
         --out bench/baseline/BENCH_region.json
-    ./build/bench_parallel --accesses 2000 --reps 3 \
-        --out bench/baseline/BENCH_parallel.json
 
 Exit status: 0 on pass, 1 on any schema or regression failure.
 """
@@ -83,13 +77,6 @@ REGION_WORKLOADS = [
     "region/r1024",
     "region/r64",
 ]
-PARALLEL_WORKLOADS = [
-    "serial",
-    "barrier/s1",
-    "barrier/s2",
-    "barrier/s4",
-    "lax/s4",
-]
 EXPECTED = {
     "kernel_throughput": {
         "workloads": KERNEL_WORKLOADS,
@@ -106,10 +93,6 @@ EXPECTED = {
     "region": {
         "workloads": REGION_WORKLOADS,
         "default_baseline": "bench/baseline/BENCH_region.json",
-    },
-    "parallel": {
-        "workloads": PARALLEL_WORKLOADS,
-        "default_baseline": "bench/baseline/BENCH_parallel.json",
     },
 }
 

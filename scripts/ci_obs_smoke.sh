@@ -7,8 +7,8 @@
 #                      the --profile run re-reported with profile off);
 #  2. sweep timeline - --timeline writes valid Chrome trace-event JSON with
 #                      the sweep/sink/journal/sim span categories;
-#  3. PDES timeline  - a lax parallel run adds the par category
-#                      (window/flush spans), still valid JSON;
+#  3. sim timeline   - a single allarm_sim run with --timeline writes
+#                      valid JSON carrying the sim category;
 #  4. profile        - --profile adds a hist section with p50/p95/p99 for
 #                      every latency metric, in both the CLI report and a
 #                      service report requesting "profile": true;
@@ -70,15 +70,11 @@ echo "== 2/6 sweep timeline is valid Chrome trace JSON =="
 check_timeline "$WORK/sweep-timeline.json" sweep sink journal sim
 echo "OK: sweep timeline validated"
 
-echo "== 3/6 PDES (lax) run adds the par category =="
+echo "== 3/6 allarm_sim timeline carries the sim category =="
 "$SIM" --benchmark ocean-cont --accesses 2000 --mode allarm \
-    --par-shards 2 --par-mode lax --timeline "$WORK/pdes-timeline.json" \
-    > /dev/null
-# Only the par category is asserted: a lax run emits a window span per
-# barrier, which (by design) can overflow the first-N-kept ring before the
-# enclosing sim.run span closes.
-check_timeline "$WORK/pdes-timeline.json" par
-echo "OK: PDES timeline validated"
+    --timeline "$WORK/sim-timeline.json" > /dev/null
+check_timeline "$WORK/sim-timeline.json" sim
+echo "OK: allarm_sim timeline validated"
 
 echo "== 4/6 --profile exports hist.* quantiles =="
 "$SWEEP" --grid quick --seeds 2 --accesses 400 --jobs 2 --profile \

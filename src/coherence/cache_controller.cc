@@ -51,7 +51,7 @@ void CacheController::emit_writebacks(const std::vector<cache::Victim>& victims,
         fabric_.mesh->send(node_, home, size_of(kind, *fabric_.config), t,
                            noc::TrafficCause::kWriteback);
     const Put put{v.line, node_, dirty};
-    fabric_.at_node(home, t_arr, [this, home, put] {
+    fabric_.at(t_arr, [this, home, put] {
       fabric_.directories[home]->handle_put(put);
     });
   }
@@ -67,7 +67,7 @@ void CacheController::send_request(const PendingRequest& req, Tick t) {
   const Tick t_arr =
       fabric_.mesh->send(node_, home, size_of(kind, *fabric_.config), t,
                          noc::TrafficCause::kRequest);
-  fabric_.at_node(home, t_arr, [this, home, out] {
+  fabric_.at(t_arr, [this, home, out] {
     fabric_.directories[home]->handle_request(out);
   });
 }

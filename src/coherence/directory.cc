@@ -36,14 +36,14 @@ Tick DirectoryController::send(NodeId src, NodeId dst, MsgKind kind,
 
 void DirectoryController::grant_at(const Request& r, LineState state,
                                    bool with_data, Tick when) {
-  fabric_.at_node(r.from, when, [this, r, state, with_data] {
+  fabric_.at(when, [this, r, state, with_data] {
     fabric_.caches[r.from]->grant(r.line, state, with_data,
                                   fabric_.events->now());
   });
 }
 
 void DirectoryController::finish_at(LineAddr line, Tick when) {
-  fabric_.at_node(node_, when, [this, line] { release_and_drain(line); });
+  fabric_.at(when, [this, line] { release_and_drain(line); });
 }
 
 void DirectoryController::release_and_drain(LineAddr line) {
@@ -137,7 +137,7 @@ void DirectoryController::hit_gets(const Request& r, PfEntry& entry, Tick t) {
       // cache-to-cache and acknowledges the directory.
       const Tick t_probe_arr =
           send(node_, owner, MsgKind::kProbeDown, noc::TrafficCause::kProbe, t);
-      fabric_.at_node(owner, t_probe_arr, [this, r, owner] {
+      fabric_.at(t_probe_arr, [this, r, owner] {
         const ProbeResult res = fabric_.caches[owner]->probe(
             r.line, ProbeOp::kDowngrade, fabric_.events->now());
         if (!res.hit()) {
@@ -197,7 +197,7 @@ void DirectoryController::hit_getm(const Request& r, PfEntry& entry, Tick t) {
       }
       const Tick t_probe_arr =
           send(node_, owner, MsgKind::kProbeInv, noc::TrafficCause::kProbe, t);
-      fabric_.at_node(owner, t_probe_arr, [this, r, owner] {
+      fabric_.at(t_probe_arr, [this, r, owner] {
         const ProbeResult res = fabric_.caches[owner]->probe(
             r.line, ProbeOp::kInvalidate, fabric_.events->now());
         Tick t_data;
@@ -248,7 +248,7 @@ void DirectoryController::hit_getm_broadcast(const Request& r, PfEntry& entry,
     ++st->expected;
     const Tick t_arr =
         send(node_, n, MsgKind::kProbeInv, noc::TrafficCause::kProbe, t);
-    fabric_.at_node(n, t_arr, [this, n, st] {
+    fabric_.at(t_arr, [this, n, st] {
       const ProbeResult res = fabric_.caches[n]->probe(
           st->r.line, ProbeOp::kInvalidate, fabric_.events->now());
       if (res.dirty()) {
@@ -258,7 +258,7 @@ void DirectoryController::hit_getm_broadcast(const Request& r, PfEntry& entry,
       }
       const Tick t_ack =
           send(n, node_, MsgKind::kAck, noc::TrafficCause::kProbeAck, res.done);
-      fabric_.at_node(node_, t_ack, [this, st] {
+      fabric_.at(t_ack, [this, st] {
         st->t_acks_done = std::max(st->t_acks_done, fabric_.events->now());
         if (++st->acks == st->expected) bcast_on_all_acks(st);
       });
@@ -333,11 +333,10 @@ void DirectoryController::miss(const Request& r, Tick t) {
       // region may have recollected (or been claimed) in the meantime.
       ++stats_.victim_stalls;
       miss_pool_.release(st);
-      fabric_.at_node(node_, t + fabric_.config->probe_filter_latency * 8,
-                      [this, r] {
-                        const Tick now = fabric_.events->now();
-                        if (region_on_) region_miss(r, now); else miss(r, now);
-                      });
+      fabric_.at(t + fabric_.config->probe_filter_latency * 8, [this, r] {
+        const Tick now = fabric_.events->now();
+        if (region_on_) region_miss(r, now); else miss(r, now);
+      });
       return;
     }
     if (region_on_) region_note_entry_removed(*victim);
@@ -371,7 +370,7 @@ void DirectoryController::miss(const Request& r, Tick t) {
   st->t_mem_spec = st->parallel_probe ? fabric_.drams[node_]->read(t) : 0;
   const Tick t_probe_arr = send(node_, node_, MsgKind::kLocalProbe,
                                 noc::TrafficCause::kProbe, t);
-  fabric_.at_node(node_, t_probe_arr, [this, st] { miss_local_probe_done(st); });
+  fabric_.at(t_probe_arr, [this, st] { miss_local_probe_done(st); });
 }
 
 void DirectoryController::miss_local_probe_done(MissState* st) {
@@ -447,7 +446,7 @@ void DirectoryController::run_eviction(const PfEntry& victim, Tick t,
     const Tick t_arr =
         send(node_, n, MsgKind::kProbeInv, noc::TrafficCause::kEviction, t);
     ++stats_.eviction_messages;
-    fabric_.at_node(n, t_arr, [this, n, st] {
+    fabric_.at(t_arr, [this, n, st] {
       const ProbeResult res = fabric_.caches[n]->probe(
           st->line, ProbeOp::kInvalidate, fabric_.events->now());
       if (res.hit()) ++stats_.eviction_lines_invalidated;
@@ -456,7 +455,7 @@ void DirectoryController::run_eviction(const PfEntry& victim, Tick t,
       const Tick t_ack = send(n, node_, ack_kind,
                               noc::TrafficCause::kEvictionAck, res.done);
       ++stats_.eviction_messages;
-      fabric_.at_node(node_, t_ack, [this, dirty, st] {
+      fabric_.at(t_ack, [this, dirty, st] {
         const Tick now = fabric_.events->now();
         if (dirty) {
           fabric_.drams[node_]->write(now);
@@ -561,7 +560,7 @@ void DirectoryController::region_collapse(const Request& r,
   const NodeId owner = victim.owner;
   const Tick t_probe =
       send(node_, owner, MsgKind::kProbeInv, noc::TrafficCause::kProbe, t);
-  fabric_.at_node(owner, t_probe, [this, r, owner] {
+  fabric_.at(t_probe, [this, r, owner] {
     const ProbeResult res = fabric_.caches[owner]->probe(
         r.line, ProbeOp::kInvalidate, fabric_.events->now());
     // Region grants are E/M and never die silently; a clean miss here
@@ -571,7 +570,7 @@ void DirectoryController::region_collapse(const Request& r,
     const Tick t_ack =
         send(owner, node_, dirty ? MsgKind::kAckData : MsgKind::kAck,
              noc::TrafficCause::kProbeAck, res.done);
-    fabric_.at_node(node_, t_ack, [this, r, dirty] {
+    fabric_.at(t_ack, [this, r, dirty] {
       const Tick now = fabric_.events->now();
       if (dirty) fabric_.drams[node_]->write(now);
       miss(r, now);
@@ -659,7 +658,7 @@ void DirectoryController::process_put(const Put& p, Tick now) {
   }
   const Tick t_ack =
       send(node_, p.from, MsgKind::kPutAck, noc::TrafficCause::kResponse, t);
-  fabric_.at_node(p.from, t_ack, [this, p] {
+  fabric_.at(t_ack, [this, p] {
     fabric_.caches[p.from]->put_ack(p.line, fabric_.events->now());
   });
 }

@@ -112,8 +112,8 @@ class DirectoryController {
   /// Installs a histogram sampling this directory's occupancy (number of
   /// lines with a transaction in flight) at each request arrival.  Null
   /// disables sampling (the default); the caller owns the histogram and
-  /// may share one across directories (requests execute on one thread
-  /// even under PDES).  See RunOptions::profile.
+  /// may share one across directories (every event of a run executes on
+  /// the thread that called System::run).  See RunOptions::profile.
   void set_occupancy_histogram(Histogram* hist) { occupancy_hist_ = hist; }
 
  private:

@@ -42,21 +42,12 @@ struct Fabric {
 
   /// Convenience: schedules `fn` at absolute time `when`.  Forwards the
   /// callable straight into the event kernel's inline storage -- no
-  /// std::function indirection on the hot path.  Files under the lane of
-  /// the currently executing event when the queue is sharded — use at_node
-  /// for anything that acts on another node's components.
+  /// std::function indirection on the hot path.  Every protocol step,
+  /// local or remote, goes through the one serial queue, so its (tick, seq)
+  /// order alone fixes the order in which messages reach their receivers.
   template <typename F>
   void at(Tick when, F&& fn) const {
     events->schedule_at(when, std::forward<F>(fn));
-  }
-
-  /// Schedules `fn` under the event-queue lane owning `node` (identical to
-  /// at() for serial runs).  Every protocol step that delivers work to a
-  /// possibly-remote component routes through this so a sharded queue can
-  /// attribute it to the right lane (src/parallel/, docs/PARALLEL.md).
-  template <typename F>
-  void at_node(NodeId node, Tick when, F&& fn) const {
-    events->schedule_at_for(node, when, std::forward<F>(fn));
   }
 
   /// True when ALLARM is active for this physical line address.

@@ -78,7 +78,6 @@ RunResult run_request(const RunRequest& request, std::uint64_t deadline_ns) {
   RunOptions options;
   options.seed = request.seed;
   options.deadline_ns = deadline_ns;
-  options.par = request.par;
   options.profile = request.profile;
   if (!request.capture_trace.empty()) {
     writer.emplace(request.capture_trace);

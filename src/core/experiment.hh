@@ -58,10 +58,6 @@ struct RunRequest {
   /// stream's results with a different identity).  Divergent-scenario
   /// replay goes through trace::make_replay_workload directly.
   std::string replay_trace;
-  /// Parallel single-simulation config (src/parallel/).  Default (shards=1)
-  /// is the serial kernel; barrier mode at any shard count is byte-identical
-  /// to it, so sweep identity (spec_hash) only folds this when lax.
-  parallel::ParConfig par;
   /// Records latency histograms into RunResult::profile (RunOptions::
   /// profile).  Observability side channel: never folded into sweep
   /// identity, and the default stats are byte-identical either way.

@@ -157,11 +157,9 @@ void System::issue_next(ThreadRuntime& thread) {
   const NodeId node = thread.node;
   if (caches_[node]->busy_with_core_request()) {
     // Another thread currently occupies this core (possible after a
-    // migration): timeshare by retrying once the pipeline drains.  The
-    // retry follows the thread's CURRENT placement so a sharded run keeps
-    // issue events on the lane owning the core they occupy.
-    events_.schedule_at_for(node, events_.now() + ticks_from_ns(100.0),
-                            [this, &thread] { issue_next(thread); });
+    // migration): timeshare by retrying once the pipeline drains.
+    events_.schedule_in(ticks_from_ns(100.0),
+                        [this, &thread] { issue_next(thread); });
     return;
   }
   --thread.remaining;
@@ -203,10 +201,8 @@ void System::access_done_thunk(void* ctx, Tick done) {
         1.0 + thread.spec.think_jitter * (2.0 * thread.rng.uniform() - 1.0);
     think = static_cast<Tick>(static_cast<double>(think) * jitter);
   }
-  // Target the thread's current node: after a migration the next issue
-  // belongs to the destination core's lane (the migration handoff).
-  self->events_.schedule_at_for(thread.node, done + think,
-                                [self, &thread] { self->issue_next(thread); });
+  self->events_.schedule_at(done + think,
+                            [self, &thread] { self->issue_next(thread); });
 }
 
 workload::Access System::next_access(ThreadRuntime& thread) {
@@ -274,10 +270,7 @@ void System::fill_ring(ThreadRuntime& thread, Tick now, std::uint32_t replay) {
 void System::schedule_migrations(const RunOptions& options) {
   if (options.migration_interval == 0) return;
   migration_interval_ = options.migration_interval;
-  // Engine-global events (no owning node) pin to node 0's lane so sharded
-  // runs give them a deterministic home.
-  events_.schedule_at_for(NodeId{0}, events_.now() + migration_interval_,
-                          [this] { migration_tick(); });
+  events_.schedule_in(migration_interval_, [this] { migration_tick(); });
 }
 
 void System::migration_tick() {
@@ -297,8 +290,7 @@ void System::migration_tick() {
     os_.migrate_thread(victim->spec.id, dst);
     victim->node = dst;
   }
-  events_.schedule_at_for(NodeId{0}, events_.now() + migration_interval_,
-                          [this] { migration_tick(); });
+  events_.schedule_in(migration_interval_, [this] { migration_tick(); });
 }
 
 void System::check_watchdog() {
@@ -343,13 +335,6 @@ RunResult System::run(const workload::WorkloadSpec& spec,
                       const RunOptions& options) {
   if (ran_) throw std::logic_error("System: run() may be called once");
   ran_ = true;
-  parallel::Partition partition;
-  Tick lookahead_ticks = 0;
-  if (options.par.enabled()) {
-    partition = parallel::make_partition(config_, options.par.shards);
-    lookahead_ticks = parallel::lookahead(config_, partition);
-    events_.set_sharding(partition.shards, partition.owner);
-  }
   invariant_period_ = options.invariant_check_period;
   migration_rng_ = Rng(options.seed ^ 0xabcdef);
   capture_ = options.capture;
@@ -426,25 +411,11 @@ RunResult System::run(const workload::WorkloadSpec& spec,
 
   for (auto& t : threads_) {
     ThreadRuntime* rt = t.get();
-    events_.schedule_at_for(rt->spec.node, rt->spec.start_offset,
-                            [this, rt] { issue_next(*rt); });
+    events_.schedule_at(rt->spec.start_offset, [this, rt] { issue_next(*rt); });
   }
   schedule_migrations(options);
 
-  parallel::ParStats par_stats;
-  if (options.par.enabled() && options.par.mode == parallel::ParMode::kLax) {
-    par_stats = parallel::run_lax(events_, options.par, lookahead_ticks,
-                                  options.par_pool);
-  } else {
-    events_.run();  // Drains: threads stop issuing, writebacks settle.
-    if (options.par.enabled()) {
-      par_stats.shards = options.par.shards;
-      par_stats.mode = parallel::ParMode::kBarrier;
-      par_stats.lookahead = lookahead_ticks;
-      par_stats.cross_events = events_.cross_lane_stats().events;
-      par_stats.min_cross_delta = events_.cross_lane_stats().min_delta;
-    }
-  }
+  events_.run();  // Drains: threads stop issuing, writebacks settle.
 
   if (!quiescent()) {
     throw std::logic_error("System: event queue drained but not quiescent");
@@ -464,7 +435,6 @@ RunResult System::run(const workload::WorkloadSpec& spec,
     result.runtime = std::max(result.runtime, finish);
   }
   result.stats = collect_stats(result.runtime);
-  result.par = par_stats;
   if (profile_on_) {
     result.profile["access_latency_ns"] = prof_access_ns_;
     result.profile["dir_occupancy"] = prof_dir_occupancy_;

@@ -23,7 +23,6 @@
 #include "mem/dram.hh"
 #include "noc/mesh.hh"
 #include "numa/os.hh"
-#include "parallel/engine.hh"
 #include "sim/event_queue.hh"
 #include "workload/spec.hh"
 
@@ -57,14 +56,6 @@ struct RunOptions {
   /// Capture forces the serial issue path (stream-identical to the ring by
   /// the next_batch contract) so draw counts attribute to single accesses.
   trace::TraceWriter* capture = nullptr;
-  /// Parallel single-simulation config (src/parallel/, docs/PARALLEL.md).
-  /// shards <= 1 runs the plain serial kernel; barrier mode is
-  /// byte-identical to it at any shard count, lax mode is approximate.
-  parallel::ParConfig par;
-  /// Optional pool for the lax engine's concurrent mailbox flushes.  Must
-  /// NOT be a pool this run itself executes on (the flush blocks in
-  /// wait_idle); sweep jobs therefore leave it null.
-  runner::ThreadPool* par_pool = nullptr;
   /// When true, the run records latency histograms (per-access
   /// request→completion latency, directory occupancy at request arrival,
   /// mesh queueing delay) into RunResult::profile.  Like the watchdog,
@@ -85,11 +76,6 @@ struct RunResult {
   /// (JsonStreamSink timing mode), but the sweep journal records it so a
   /// shard scheduler can size shards by measured cell cost.
   std::uint64_t wall_ns = 0;
-  /// Parallel-engine observability for sharded runs (defaulted for serial
-  /// runs).  Lives OUTSIDE `stats` deliberately: barrier-mode reports must
-  /// stay byte-identical to serial ones, so sharding must not perturb the
-  /// serialized key set or values (same contract as wall_ns).
-  parallel::ParStats par;
   /// Latency histograms recorded under RunOptions::profile, keyed by
   /// metric name ("access_latency_ns", "dir_occupancy", "mesh_queue_ns").
   /// Another wall_ns-style side channel: empty (and unserialized) unless
@@ -199,9 +185,8 @@ class System {
   /// Armed by run(); gates the per-access issue stamp the same way
   /// watchdog_on_ gates its own.  The component histograms are fed through
   /// raw pointers installed before the run (mesh queueing, directory
-  /// occupancy) and recorded from event execution, which stays on the
-  /// calling thread even under PDES (lanes run serially; only mailbox
-  /// flushes parallelize) — no locking needed.
+  /// occupancy) and recorded from event execution, which runs entirely on
+  /// the thread that called run() — no locking needed.
   bool profile_on_ = false;
   Histogram prof_access_ns_;     ///< Request→completion latency per access.
   Histogram prof_dir_occupancy_; ///< Busy-line count at request arrival.

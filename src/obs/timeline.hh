@@ -2,7 +2,7 @@
 //
 // The simulator's own clock (Tick) answers "where do simulated
 // picoseconds go"; this layer answers "where does *wall* time go" — per
-// sweep job, per PDES lane window, per journal fsync, per service poll.
+// simulation run, per sweep job, per journal fsync, per service poll.
 // Spans are recorded into lock-free per-thread rings and serialized at
 // process end as Chrome trace-event JSON (`--timeline out.json`), which
 // loads directly in Perfetto / chrome://tracing.

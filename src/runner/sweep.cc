@@ -230,16 +230,6 @@ std::uint64_t spec_hash(const SweepSpec& spec) {
     h.update(std::string("replay"));
     h.update(spec.replay_dir);
   }
-  // Parallel mode: barrier is byte-identical to serial at any shard count
-  // (the kernel merge preserves global (tick, seq) order), so folding it
-  // would needlessly split resume-compatible journals.  Lax changes the
-  // numbers — fold shards and slack so a lax journal can never resume a
-  // serial/barrier sweep (or a lax one with different knobs).
-  if (spec.par.enabled() && spec.par.mode == parallel::ParMode::kLax) {
-    h.update(std::string("par-lax"));
-    h.update_u32(spec.par.shards);
-    h.update_u64(spec.par.slack);
-  }
   // Fold every per-job seed: a change to the derivation scheme (or the
   // base seed) changes the hash even when the axes look identical.
   for (std::uint32_t w = 0; w < spec.workloads.size(); ++w) {
@@ -282,11 +272,6 @@ std::uint64_t cell_hash(const SweepSpec& spec, std::uint64_t cell_index) {
   if (!spec.replay_dir.empty()) {
     h.update(std::string("replay"));
     h.update(spec.replay_dir);
-  }
-  if (spec.par.enabled() && spec.par.mode == parallel::ParMode::kLax) {
-    h.update(std::string("par-lax"));
-    h.update_u32(spec.par.shards);
-    h.update_u64(spec.par.slack);
   }
   // The cell's own seeds: replicate seeds depend on (base_seed, workload
   // index), so a base-seed or derivation change invalidates every cell.
@@ -455,7 +440,6 @@ std::vector<Job> expand_jobs(const SweepSpec& spec) {
           job.request.spec = workload_spec;
           job.request.seed = job_seed(spec.base_seed, w, r);
           job.request.policy = point.policy;
-          job.request.par = spec.par;
           job.request.profile = spec.profile;
           // Traces pair with jobs by grid index (== jobs.size() here:
           // the loops enumerate the grid in order), so a capture run's
@@ -623,16 +607,11 @@ StreamStats SweepRunner::run_streaming(const SweepSpec& spec, ResultSink& sink,
   // notify UNDER the mutex, so the guard cannot miss the last wakeup.
   std::size_t live = 0;
 
-  // A par-sharded sweep splits the host thread budget between concurrent
-  // jobs and per-job shard work (parallel::split_budget): the lane merge
-  // and flush cost per job scales with shards, so jobs x shards stays
-  // within the --jobs budget instead of multiplying past it.  A shared
-  // pool (the sweep service multiplexing requests) overrides the private
-  // one; it only schedules — the fold below is grid-ordered either way.
+  // A shared pool (the sweep service multiplexing requests) overrides the
+  // private one; it only schedules — the fold below is grid-ordered either
+  // way.
   std::optional<ThreadPool> owned_pool;
-  if (options.pool == nullptr) {
-    owned_pool.emplace(parallel::split_budget(jobs_, spec.par.shards));
-  }
+  if (options.pool == nullptr) owned_pool.emplace(jobs_);
   ThreadPool& pool = options.pool != nullptr ? *options.pool : *owned_pool;
 
   struct LiveGuard {

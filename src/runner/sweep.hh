@@ -77,14 +77,6 @@ struct SweepSpec {
   /// name, not the trace contents — like a custom factory, trace bytes
   /// are not hashable up front; do not swap trace files between resumes).
   std::string replay_dir;
-  /// Parallel single-simulation config applied to every job
-  /// (src/parallel/, docs/PARALLEL.md).  Barrier mode is byte-identical to
-  /// the serial kernel, so it is NOT folded into spec_hash (journals stay
-  /// resume-compatible across shard counts); lax mode changes results and
-  /// is folded.  Jobs always run single-threaded relative to each other —
-  /// the sweep pool is sized with parallel::split_budget so jobs x shards
-  /// stays within the host budget.
-  parallel::ParConfig par;
   /// When true, every job records latency histograms (RunOptions::profile)
   /// which fold into CellResult::profile.  Observability side channel:
   /// default report bytes are unchanged unless the sink's profile mode is

@@ -4,16 +4,16 @@
 
 namespace allarm::sim {
 
-void EventQueue::drain_far_slow(Lane& lane) {
-  const Tick horizon = lane.base + kNearBuckets;
-  while (!lane.far.empty() && lane.far.front().when < horizon) {
+void EventQueue::drain_far_slow() {
+  const Tick horizon = base_ + kNearBuckets;
+  while (!far_.empty() && far_.front().when < horizon) {
     // Heap pops come out in exact (tick, seq) order, and a tick is only
     // ever migrated before any in-window insert can target it, so bucket
     // FIFO order remains global (tick, seq) order.  The node itself never
     // moves -- only its reference leaves the heap.
-    std::pop_heap(lane.far.begin(), lane.far.end(), Later{});
-    link_near(lane, lane.far.back().node);
-    lane.far.pop_back();
+    std::pop_heap(far_.begin(), far_.end(), Later{});
+    link_near(far_.back().node);
+    far_.pop_back();
   }
 }
 
@@ -23,172 +23,53 @@ std::uint64_t EventQueue::run(std::uint64_t max_events) {
   return n;
 }
 
-bool EventQueue::peek_lane(const Lane& lane, Tick& when,
-                           std::uint64_t& seq) const {
-  // Pure read: never advances `base` (see run_until for why that matters).
-  if (lane.near_count > 0) {
-    // Bucket ticks all lie below base + kNearBuckets <= any far tick,
+bool EventQueue::peek_next(Tick& when) const {
+  if (near_count_ > 0) {
+    // Bucket ticks all lie below base_ + kNearBuckets <= any far tick,
     // so the earliest near event is the global minimum.
-    const std::size_t b = scan_from(lane, lane.base & kNearMask);
-    const std::uint32_t head = lane.buckets[b].head;
-    when = lane.nodes[head].when;
-    seq = lane.node_seq.empty() ? 0 : lane.node_seq[head];
+    when = nodes_[buckets_[scan_from(base_ & kNearMask)].head].when;
     return true;
   }
-  if (!lane.far.empty()) {
-    when = lane.far.front().when;
-    seq = lane.far.front().seq;
+  if (!far_.empty()) {
+    when = far_.front().when;
     return true;
   }
   return false;
 }
 
-int EventQueue::peek_next(Tick& when, std::uint64_t& seq) {
-  // Serial: read the lane directly.  The head cache is maintained (pop
-  // invalidation, insert improvement) only under sharding; trusting it here
-  // would read a stale head after a plain schedule_at/pop_lane.
-  if (num_lanes_ == 1) {
-    return peek_lane(lane0_, when, seq) ? 0 : -1;
-  }
-  int best = -1;
-  for (std::uint32_t i = 0; i < num_lanes_; ++i) {
-    Lane& l = lane(i);
-    if (!refresh_head(l)) continue;
-    if (best < 0 || l.head_when < when ||
-        (l.head_when == when && l.head_seq < seq)) {
-      best = static_cast<int>(i);
-      when = l.head_when;
-      seq = l.head_seq;
-    }
-  }
-  return best;
-}
-
 void EventQueue::run_until(Tick until) {
-  // Peek WITHOUT next_bucket(): that would advance a lane's base to the
-  // next pending tick even when it lies beyond `until`, and an event
-  // scheduled afterwards below that tick would land behind the window base
-  // and execute out of order.  A pure read keeps base <= every executed
-  // tick.
-  while (true) {
-    Tick next;
-    std::uint64_t seq;
-    if (peek_next(next, seq) < 0 || next > until) break;
-    run_one();
-  }
+  // Peek WITHOUT next_bucket(): that would advance base_ to the next
+  // pending tick even when it lies beyond `until`, and an event scheduled
+  // afterwards below that tick would land behind the window base and
+  // execute out of order.  A pure read keeps base_ <= every executed tick.
+  Tick next;
+  while (peek_next(next) && next <= until) run_one();
   if (now_ < until) now_ = until;
 }
 
-void EventQueue::run_lane_until(std::uint32_t lane_idx, Tick until) {
-  Lane& l = lane(lane_idx);
-  while (true) {
-    Tick next;
-    std::uint64_t seq;
-    if (!peek_lane(l, next, seq) || next > until) break;
-    pop_lane(l);
-  }
-}
-
-void EventQueue::inject(std::uint32_t lane_idx, Tick when, std::uint64_t seq,
-                        Event&& e) {
-  Lane& l = lane(lane_idx);
-  const std::uint32_t index = make_node(l, when);
-  l.nodes[index].action = std::move(e);
-  l.node_seq[index] = seq;
-  if (when < l.base + kNearBuckets) {
-    link_near_ordered(l, index, seq);
-  } else {
-    l.far.push_back(FarRef{when, seq, index});
-    std::push_heap(l.far.begin(), l.far.end(), Later{});
-  }
-  note_insert(l, when, seq);
-}
-
-void EventQueue::link_near_ordered(Lane& lane, std::uint32_t index,
-                                   std::uint64_t seq) {
-  Node& node = lane.nodes[index];
-  const std::size_t b = node.when & kNearMask;
-  Bucket& bucket = lane.buckets[b];
-  if (bucket.head == kNil) {
-    node.next = kNil;
-    bucket.head = bucket.tail = index;
-    mark_live(lane, b);
-    ++lane.near_count;
-    return;
-  }
-  // A flushed mailbox event may carry a smaller seq than same-tick events
-  // already appended; walk to its seq position.  Mailbox batches are tiny
-  // relative to the run, so the walk is off the hot path by construction.
-  if (seq < lane.node_seq[bucket.head]) {
-    node.next = bucket.head;
-    bucket.head = index;
-  } else {
-    std::uint32_t prev = bucket.head;
-    while (lane.nodes[prev].next != kNil &&
-           lane.node_seq[lane.nodes[prev].next] < seq) {
-      prev = lane.nodes[prev].next;
-    }
-    node.next = lane.nodes[prev].next;
-    lane.nodes[prev].next = index;
-    if (node.next == kNil) bucket.tail = index;
-  }
-  ++lane.near_count;
-}
-
-void EventQueue::set_sharding(std::uint32_t lanes,
-                              std::vector<std::uint16_t> owner) {
-  if (pending() != 0 || executed_ != 0) {
-    throw std::logic_error("EventQueue: set_sharding on a live queue");
-  }
-  if (lanes == 0) {
-    throw std::logic_error("EventQueue: zero lanes");
-  }
-  for (const std::uint16_t o : owner) {
-    if (o >= lanes) {
-      throw std::logic_error("EventQueue: node owner out of range");
-    }
-  }
-  num_lanes_ = lanes;
-  owner_ = std::move(owner);
-  extra_.clear();
-  if (lanes > 1) {
-    extra_.resize(lanes - 1);
-    // The merge reads seq through the side array; size it for the lanes
-    // that exist so far (grows with the arenas in make_node).
-    lane0_.node_seq.resize(lane0_.nodes.size());
-  }
-  current_ = &lane0_;
-}
-
-void EventQueue::clear_lane(Lane& lane) {
-  if (lane.near_count != 0) {
-    for (std::size_t w = 0; w < lane.live0.size(); ++w) {
-      std::uint64_t word = lane.live0[w];
+void EventQueue::clear() {
+  if (near_count_ != 0) {
+    for (std::size_t w = 0; w < live0_.size(); ++w) {
+      std::uint64_t word = live0_[w];
       while (word != 0) {
         const std::size_t b = (w << 6) + lowest_set_bit(word);
         word &= word - 1;
-        Bucket& bucket = lane.buckets[b];
+        Bucket& bucket = buckets_[b];
         for (std::uint32_t i = bucket.head; i != kNil;) {
-          const std::uint32_t next = lane.nodes[i].next;
-          release_node(lane, i);
+          const std::uint32_t next = nodes_[i].next;
+          release_node(i);
           i = next;
         }
         bucket.head = bucket.tail = kNil;
       }
-      lane.live0[w] = 0;
+      live0_[w] = 0;
     }
-    std::fill(lane.live1.begin(), lane.live1.end(), 0);
-    lane.live2 = 0;
-    lane.near_count = 0;
+    std::fill(live1_.begin(), live1_.end(), 0);
+    live2_ = 0;
+    near_count_ = 0;
   }
-  for (const FarRef& ref : lane.far) release_node(lane, ref.node);
-  lane.far.clear();
-  lane.head_valid = false;
-}
-
-void EventQueue::clear() {
-  clear_lane(lane0_);
-  for (Lane& lane : extra_) clear_lane(lane);
+  for (const FarRef& ref : far_) release_node(ref.node);
+  far_.clear();
 }
 
 }  // namespace allarm::sim

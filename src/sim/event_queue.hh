@@ -20,27 +20,6 @@
 // the bitmaps and bucket table are fixed-size.  The schedule/execute path
 // is defined inline below so call sites across the simulator compile it
 // down without crossing a translation-unit boundary.
-//
-// --- Lane sharding (parallel single-simulation, src/parallel/) -------------
-//
-// The calendar above is one LANE.  set_sharding() partitions the queue into
-// S independent lanes (each with its own buckets, bitmap, arena and far
-// heap) plus a node -> lane ownership map; schedule_at_for(node, ...) files
-// an event under the lane owning that node, plain schedule_at() files under
-// the lane of the event currently executing.  One GLOBAL insertion-sequence
-// counter spans all lanes, and the sharded run_one() always pops the
-// globally minimal (tick, seq) across lane heads — so sharded execution
-// order is IDENTICAL to the single-lane order at any lane count, which is
-// what makes the barrier parallel mode byte-exact against the serial
-// oracle (docs/PARALLEL.md has the full argument).  The serial path never
-// touches any of this: with sharding off, `current_` is pinned to the
-// inline lane and the hot path compiles to the same code as before.
-//
-// The lax mode hooks: a cross-lane hook diverts cross-lane schedules into
-// engine-owned mailboxes, run_lane_until() drains one lane up to a window
-// edge, and inject() delivers mailboxed events (seq-ordered insert, since a
-// flushed event may carry a smaller seq than same-tick events already in
-// the bucket).
 #pragma once
 
 #include <algorithm>
@@ -61,30 +40,20 @@ class EventQueue {
   /// Current simulated time.
   Tick now() const { return now_; }
 
-  /// Number of events executed so far (global across lanes).
+  /// Number of events executed so far.
   std::uint64_t events_executed() const { return executed_; }
 
-  /// Number of events currently pending (all lanes).
-  std::size_t pending() const {
-    std::size_t n = lane0_.near_count + lane0_.far.size();
-    for (const Lane& lane : extra_) n += lane.near_count + lane.far.size();
-    return n;
-  }
+  /// Number of events currently pending.
+  std::size_t pending() const { return near_count_ + far_.size(); }
 
-  /// Number of pending events currently in the far-horizon overflow heaps
+  /// Number of pending events currently in the far-horizon overflow heap
   /// (introspection for tests and the throughput bench).
-  std::size_t far_pending() const {
-    std::size_t n = lane0_.far.size();
-    for (const Lane& lane : extra_) n += lane.far.size();
-    return n;
-  }
+  std::size_t far_pending() const { return far_.size(); }
 
   /// Schedules `action` to run at absolute time `when` (>= now()).  The
   /// callable is constructed directly inside the queue's node arena — a
   /// lambda at the call site reaches its execution slot with zero
-  /// intermediate Event moves.  Sharded: files under the lane of the event
-  /// currently executing (correct for self-scheduling components; anything
-  /// that targets another node's component uses schedule_at_for).
+  /// intermediate Event moves.
   template <typename F>
   void schedule_at(Tick when, F&& action);
 
@@ -95,7 +64,6 @@ class EventQueue {
   }
 
   /// Executes the next event; returns false when the queue is empty.
-  /// Sharded: pops the globally minimal (tick, seq) across all lane heads.
   bool run_one();
 
   /// Runs until the queue drains or `max_events` have executed.
@@ -108,78 +76,6 @@ class EventQueue {
 
   /// Discards all pending events (used between experiment repetitions).
   void clear();
-
-  // --- Lane sharding (src/parallel/) ---------------------------------------
-
-  /// Cross-lane schedule observability: every schedule_at_for issued WHILE
-  /// AN EVENT IS EXECUTING whose target lane differs from the executing
-  /// lane counts here, with the minimum observed (when - now) delta — the
-  /// empirical lookahead the partition actually exhibits (see
-  /// parallel::lookahead for the modelled bound).  Set-up schedules placed
-  /// before the run starts are delivered cross-lane too but are not
-  /// counted: nothing has executed yet, so no lookahead constrains them.
-  struct CrossLaneStats {
-    std::uint64_t events = 0;
-    Tick min_delta = kTickNever;
-    /// Lax only: schedules whose tick fell behind the lane clock after a
-    /// window warp and were clamped to now() instead of rejected.
-    std::uint64_t lax_clamps = 0;
-  };
-
-  /// Diverts cross-lane schedules into engine-owned mailboxes (lax mode).
-  /// Receives (ctx, src_lane, dst_lane, when, seq, event); the engine
-  /// re-delivers via inject().  Null restores direct delivery (barrier).
-  using CrossLaneHook = void (*)(void*, std::uint32_t, std::uint32_t, Tick,
-                                 std::uint64_t, Event&&);
-
-  /// Splits the queue into `lanes` independent calendars with
-  /// `owner_of_node[n]` naming the lane that owns node n's events.  Must be
-  /// called while the queue is empty and before any event has executed.
-  void set_sharding(std::uint32_t lanes, std::vector<std::uint16_t> owner);
-
-  bool sharded() const { return num_lanes_ > 1; }
-  std::uint32_t lanes() const { return num_lanes_; }
-  std::uint32_t lane_of(NodeId node) const {
-    return owner_.empty() ? 0 : owner_[node];
-  }
-
-  /// Schedules `action` under the lane owning `target`'s components.
-  /// Serial mode: identical to schedule_at (same seq assignment, same
-  /// order).  Sharded: a cross-lane schedule either inserts directly into
-  /// the target lane (barrier — still exact global (tick, seq) order, see
-  /// run_one) or is diverted to the cross-lane hook (lax).
-  template <typename F>
-  void schedule_at_for(NodeId target, Tick when, F&& action);
-
-  void set_cross_lane_hook(CrossLaneHook hook, void* ctx) {
-    hook_ = hook;
-    hook_ctx_ = ctx;
-  }
-
-  /// Lax mode only: a schedule into the past (possible after a mailboxed
-  /// event was warped past its tick) clamps to now() instead of throwing.
-  /// Counted in cross_lane_stats().lax_clamps.
-  void set_lax_clamp(bool on) { lax_clamp_ = on; }
-
-  const CrossLaneStats& cross_lane_stats() const { return cross_stats_; }
-
-  /// Peeks the globally minimal pending (tick, seq) without advancing any
-  /// lane window.  Returns the owning lane, or -1 when every lane is empty.
-  int peek_next(Tick& when, std::uint64_t& seq);
-
-  /// Executes events of one lane while their tick is <= `until` (lax
-  /// windows).  The global clock tracks each executed event's tick, so it
-  /// may move backwards when the caller switches lanes — bounded by the
-  /// window width, which is the lax mode's accuracy knob.
-  void run_lane_until(std::uint32_t lane, Tick until);
-
-  /// Delivers a mailboxed event into `lane` carrying its original global
-  /// seq.  Unlike schedule_*, the insert is seq-ordered within its tick
-  /// bucket (a flushed event may predate same-tick events already
-  /// present) and skips the past-check (the engine warps ticks to the
-  /// window edge before injecting).  Injects into distinct lanes touch
-  /// disjoint state and may run concurrently (the engine's flush phase).
-  void inject(std::uint32_t lane, Tick when, std::uint64_t seq, Event&& e);
 
  private:
   /// Near-horizon width in ticks (= bucket count).  128 Ki ticks = 131 ns:
@@ -199,9 +95,7 @@ class EventQueue {
 
   /// One pending event plus its FIFO link (near buckets) -- pooled.  Far
   /// events live in the same arena; the heap orders lightweight references
-  /// so sifting never moves Event storage.  The insertion seq is NOT held
-  /// here (the node is exactly one cache line and bucket FIFO order
-  /// already encodes it); sharded lanes keep a parallel side array.
+  /// so sifting never moves Event storage.
   struct Node {
     Tick when = 0;
     std::uint32_t next = kNil;
@@ -229,38 +123,6 @@ class EventQueue {
     std::uint32_t tail = kNil;
   };
 
-  /// One independent calendar: the entire former queue state.  Serial runs
-  /// use the inline lane0_ only; set_sharding adds lanes.
-  struct Lane {
-    std::vector<Bucket> buckets = std::vector<Bucket>(kNearBuckets);
-    // Three-level occupancy bitmap over the bucket table (64-ary tree): bit
-    // b of live0 marks bucket b non-empty, bit w of live1 marks word w of
-    // live0 non-zero, and so on.  Locating the next non-empty tick is three
-    // word scans instead of a walk across (possibly tens of thousands of)
-    // empty per-tick buckets.
-    std::vector<std::uint64_t> live0 =
-        std::vector<std::uint64_t>(kNearBuckets / 64, 0);
-    std::vector<std::uint64_t> live1 =
-        std::vector<std::uint64_t>(kNearBuckets / (64 * 64), 0);
-    std::uint64_t live2 = 0;
-    std::vector<Node> nodes;          ///< Arena backing all pending events.
-    /// Insertion seq per arena node, maintained only when sharded (the
-    /// cross-lane head merge needs the seq of a bucket head; serial lanes
-    /// never pay the extra line).
-    std::vector<std::uint64_t> node_seq;
-    std::uint32_t free_head = kNil;   ///< Recycled-node list head.
-    std::vector<FarRef> far;          ///< Beyond-horizon overflow (min-heap).
-    std::size_t near_count = 0;       ///< Events currently in buckets.
-    Tick base = 0;                    ///< Window start; buckets cover
-                                      ///< [base, base + kNearBuckets).
-    // Cached head (when, seq) for the sharded merge; recomputed lazily
-    // after pops, improved eagerly by inserts.
-    Tick head_when = 0;
-    std::uint64_t head_seq = 0;
-    bool head_valid = false;          ///< Cache reflects current contents.
-    bool head_any = false;            ///< Lane non-empty (when head_valid).
-  };
-
   static unsigned lowest_set_bit(std::uint64_t word) {
 #if defined(__GNUC__) || defined(__clang__)
     return static_cast<unsigned>(__builtin_ctzll(word));
@@ -274,323 +136,204 @@ class EventQueue {
 #endif
   }
 
-  Lane& lane(std::uint32_t i) { return i == 0 ? lane0_ : extra_[i - 1]; }
-  const Lane& lane(std::uint32_t i) const {
-    return i == 0 ? lane0_ : extra_[i - 1];
-  }
-  std::uint32_t lane_index(const Lane& l) const {
-    return &l == &lane0_
-               ? 0
-               : static_cast<std::uint32_t>(&l - extra_.data()) + 1;
-  }
-
-  std::uint32_t make_node(Lane& lane, Tick when);
-  void release_node(Lane& lane, std::uint32_t index);
+  std::uint32_t make_node(Tick when);
+  void release_node(std::uint32_t index);
   /// Appends arena node `index` to its tick's bucket FIFO.
-  void link_near(Lane& lane, std::uint32_t index);
-  /// Seq-ordered insert into the tick bucket (inject path only).
-  void link_near_ordered(Lane& lane, std::uint32_t index, std::uint64_t seq);
-  void mark_live(Lane& lane, std::size_t bucket);
-  void mark_empty(Lane& lane, std::size_t bucket);
+  void link_near(std::uint32_t index);
+  void mark_live(std::size_t bucket);
+  void mark_empty(std::size_t bucket);
   /// Migrates far-heap entries that the window now covers into buckets.
-  /// Must run every time `base` advances; the common no-far case is one
+  /// Must run every time `base_` advances; the common no-far case is one
   /// inline branch.
-  void drain_far(Lane& lane) {
-    if (!lane.far.empty() && lane.far.front().when < lane.base + kNearBuckets) {
-      drain_far_slow(lane);
+  void drain_far() {
+    if (!far_.empty() && far_.front().when < base_ + kNearBuckets) {
+      drain_far_slow();
     }
   }
-  void drain_far_slow(Lane& lane);
-  /// Positions `base` at the next pending tick (migrating far events) and
-  /// returns its bucket, or nullptr when the lane is empty.
-  Bucket* next_bucket(Lane& lane);
-  /// Pops and executes the head event of `lane`; returns false when empty.
-  bool pop_lane(Lane& lane);
-  /// Head (when, seq) of `lane` WITHOUT advancing its window (pure read,
-  /// like run_until's peek).  False when the lane is empty.
-  bool peek_lane(const Lane& lane, Tick& when, std::uint64_t& seq) const;
-  /// Refreshes the lane's cached head if stale; returns head_any.
-  bool refresh_head(Lane& lane);
-  /// Improves the cached head after inserting (when, seq) into `lane`.
-  void note_insert(Lane& lane, Tick when, std::uint64_t seq) {
-    if (!lane.head_valid) return;
-    if (!lane.head_any || when < lane.head_when ||
-        (when == lane.head_when && seq < lane.head_seq)) {
-      lane.head_when = when;
-      lane.head_seq = seq;
-      lane.head_any = true;
-    }
-  }
-  /// Inserts an already-built node into near buckets or the far heap.
-  void file_node(Lane& lane, std::uint32_t index, Tick when,
-                 std::uint64_t seq);
+  void drain_far_slow();
+  /// Positions `base_` at the next pending tick (migrating far events) and
+  /// returns its bucket, or nullptr when the queue is empty.
+  Bucket* next_bucket();
+  /// Tick of the earliest pending event WITHOUT advancing `base_` (a pure
+  /// read, see run_until).  False when the queue is empty.
+  bool peek_next(Tick& when) const;
   /// Index of the first non-empty bucket, in ring order from `start`.
-  /// Requires near_count > 0.
-  std::size_t scan_from(const Lane& lane, std::size_t start) const;
+  /// Requires near_count_ > 0.
+  std::size_t scan_from(std::size_t start) const;
   /// First non-empty bucket at index >= `start`, or kNearBuckets when the
   /// remainder of the table is empty.
-  std::size_t scan_linear(const Lane& lane, std::size_t start) const;
-  void clear_lane(Lane& lane);
+  std::size_t scan_linear(std::size_t start) const;
 
-  Lane lane0_;                       ///< The serial calendar; lane 0.
-  std::vector<Lane> extra_;          ///< Lanes 1..S-1 (sharded mode only).
-  std::uint32_t num_lanes_ = 1;
-  std::vector<std::uint16_t> owner_; ///< Node -> lane (empty when serial).
-  Lane* current_ = &lane0_;          ///< Lane of the executing event.
-  CrossLaneHook hook_ = nullptr;     ///< Lax-mode mailbox diversion.
-  void* hook_ctx_ = nullptr;
-  bool lax_clamp_ = false;           ///< Clamp past schedules (lax mode).
-  bool executing_ = false;           ///< Inside an event's action (sharded).
-  CrossLaneStats cross_stats_;
-
+  std::vector<Bucket> buckets_ = std::vector<Bucket>(kNearBuckets);
+  // Three-level occupancy bitmap over the bucket table (64-ary tree): bit b
+  // of live0_ marks bucket b non-empty, bit w of live1_ marks word w of
+  // live0_ non-zero, and so on.  Locating the next non-empty tick is three
+  // word scans instead of a walk across (possibly tens of thousands of)
+  // empty per-tick buckets.
+  std::vector<std::uint64_t> live0_ =
+      std::vector<std::uint64_t>(kNearBuckets / 64, 0);
+  std::vector<std::uint64_t> live1_ =
+      std::vector<std::uint64_t>(kNearBuckets / (64 * 64), 0);
+  std::uint64_t live2_ = 0;
+  std::vector<Node> nodes_;          ///< Arena backing all pending events.
+  std::uint32_t free_head_ = kNil;   ///< Recycled-node list head.
+  std::vector<FarRef> far_;          ///< Beyond-horizon overflow (min-heap).
+  std::size_t near_count_ = 0;       ///< Events currently in buckets.
+  Tick base_ = 0;                    ///< Window start; buckets cover
+                                     ///< [base_, base_ + kNearBuckets).
   Tick now_ = 0;
-  std::uint64_t seq_ = 0;            ///< Global across lanes.
-  std::uint64_t executed_ = 0;       ///< Global across lanes.
+  std::uint64_t seq_ = 0;
+  std::uint64_t executed_ = 0;
 };
 
 // --- Inline hot path ---------------------------------------------------------
 
-inline std::uint32_t EventQueue::make_node(Lane& lane, Tick when) {
+inline std::uint32_t EventQueue::make_node(Tick when) {
   std::uint32_t index;
-  if (lane.free_head != kNil) {
-    index = lane.free_head;
-    lane.free_head = lane.nodes[index].next;
+  if (free_head_ != kNil) {
+    index = free_head_;
+    free_head_ = nodes_[index].next;
   } else {
-    lane.nodes.emplace_back();
-    index = static_cast<std::uint32_t>(lane.nodes.size() - 1);
-    if (num_lanes_ > 1) lane.node_seq.resize(lane.nodes.size());
+    nodes_.emplace_back();
+    index = static_cast<std::uint32_t>(nodes_.size() - 1);
   }
-  lane.nodes[index].when = when;
+  nodes_[index].when = when;
   return index;
 }
 
-inline void EventQueue::release_node(Lane& lane, std::uint32_t index) {
-  lane.nodes[index].action = Event{};
-  lane.nodes[index].next = lane.free_head;
-  lane.free_head = index;
+inline void EventQueue::release_node(std::uint32_t index) {
+  nodes_[index].action = Event{};
+  nodes_[index].next = free_head_;
+  free_head_ = index;
 }
 
-inline void EventQueue::mark_live(Lane& lane, std::size_t bucket) {
-  lane.live0[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
+inline void EventQueue::mark_live(std::size_t bucket) {
+  live0_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
   const std::size_t w0 = bucket >> 6;
-  lane.live1[w0 >> 6] |= std::uint64_t{1} << (w0 & 63);
-  lane.live2 |= std::uint64_t{1} << (w0 >> 6);
+  live1_[w0 >> 6] |= std::uint64_t{1} << (w0 & 63);
+  live2_ |= std::uint64_t{1} << (w0 >> 6);
 }
 
-inline void EventQueue::mark_empty(Lane& lane, std::size_t bucket) {
+inline void EventQueue::mark_empty(std::size_t bucket) {
   const std::size_t w0 = bucket >> 6;
-  lane.live0[w0] &= ~(std::uint64_t{1} << (bucket & 63));
-  if (lane.live0[w0] == 0) {
-    lane.live1[w0 >> 6] &= ~(std::uint64_t{1} << (w0 & 63));
-    if (lane.live1[w0 >> 6] == 0) {
-      lane.live2 &= ~(std::uint64_t{1} << (w0 >> 6));
+  live0_[w0] &= ~(std::uint64_t{1} << (bucket & 63));
+  if (live0_[w0] == 0) {
+    live1_[w0 >> 6] &= ~(std::uint64_t{1} << (w0 & 63));
+    if (live1_[w0 >> 6] == 0) {
+      live2_ &= ~(std::uint64_t{1} << (w0 >> 6));
     }
   }
 }
 
-inline void EventQueue::link_near(Lane& lane, std::uint32_t index) {
-  Node& node = lane.nodes[index];
+inline void EventQueue::link_near(std::uint32_t index) {
+  Node& node = nodes_[index];
   node.next = kNil;
   const std::size_t b = node.when & kNearMask;
-  Bucket& bucket = lane.buckets[b];
+  Bucket& bucket = buckets_[b];
   if (bucket.head == kNil) {
     bucket.head = bucket.tail = index;
-    mark_live(lane, b);
+    mark_live(b);
   } else {
-    lane.nodes[bucket.tail].next = index;
+    nodes_[bucket.tail].next = index;
     bucket.tail = index;
   }
-  ++lane.near_count;
-}
-
-inline void EventQueue::file_node(Lane& lane, std::uint32_t index, Tick when,
-                                  std::uint64_t seq) {
-  if (num_lanes_ > 1) lane.node_seq[index] = seq;
-  if (when < lane.base + kNearBuckets) {
-    // FIFO bucket order encodes `seq` implicitly: appends happen in
-    // insertion order, and far migration happens before any in-window
-    // insert can target the same tick.  This holds per lane even under
-    // sharding, because sharded execution is globally (tick, seq) ordered,
-    // so inserts still arrive seq-monotonically (inject() is the one
-    // exception and uses the ordered variant).
-    link_near(lane, index);
-  } else {
-    lane.far.push_back(FarRef{when, seq, index});
-    std::push_heap(lane.far.begin(), lane.far.end(), Later{});
-  }
-  if (num_lanes_ > 1) note_insert(lane, when, seq);
+  ++near_count_;
 }
 
 template <typename F>
 inline void EventQueue::schedule_at(Tick when, F&& action) {
   if (when < now_) {
-    if (!lax_clamp_) {
-      throw std::logic_error("EventQueue: scheduling into the past");
-    }
-    when = now_;
-    ++cross_stats_.lax_clamps;
+    throw std::logic_error("EventQueue: scheduling into the past");
   }
   const std::uint64_t seq = seq_++;
-  Lane& lane = *current_;
-  const std::uint32_t index = make_node(lane, when);
+  const std::uint32_t index = make_node(when);
   if constexpr (std::is_same_v<std::decay_t<F>, Event>) {
-    lane.nodes[index].action = std::move(action);
+    nodes_[index].action = std::move(action);
   } else {
-    lane.nodes[index].action.emplace(std::forward<F>(action));
+    nodes_[index].action.emplace(std::forward<F>(action));
   }
-  file_node(lane, index, when, seq);
+  if (when < base_ + kNearBuckets) {
+    // FIFO bucket order encodes `seq` implicitly: appends happen in
+    // insertion order, and far migration (below) happens before any
+    // in-window insert can target the same tick.
+    link_near(index);
+  } else {
+    far_.push_back(FarRef{when, seq, index});
+    std::push_heap(far_.begin(), far_.end(), Later{});
+  }
 }
 
-template <typename F>
-inline void EventQueue::schedule_at_for(NodeId target, Tick when, F&& action) {
-  if (num_lanes_ == 1) {
-    schedule_at(when, std::forward<F>(action));
-    return;
-  }
-  if (when < now_) {
-    if (!lax_clamp_) {
-      throw std::logic_error("EventQueue: scheduling into the past");
-    }
-    when = now_;
-    ++cross_stats_.lax_clamps;
-  }
-  Lane& dst = lane(owner_[target]);
-  if (&dst != current_) {
-    if (executing_) {
-      ++cross_stats_.events;
-      const Tick delta = when - now_;
-      if (delta < cross_stats_.min_delta) cross_stats_.min_delta = delta;
-    }
-    if (hook_ != nullptr) {
-      const std::uint64_t seq = seq_++;
-      hook_(hook_ctx_, lane_index(*current_), owner_[target], when, seq,
-            Event(std::forward<F>(action)));
-      return;
-    }
-  }
-  const std::uint64_t seq = seq_++;
-  const std::uint32_t index = make_node(dst, when);
-  if constexpr (std::is_same_v<std::decay_t<F>, Event>) {
-    dst.nodes[index].action = std::move(action);
-  } else {
-    dst.nodes[index].action.emplace(std::forward<F>(action));
-  }
-  file_node(dst, index, when, seq);
-}
-
-inline std::size_t EventQueue::scan_linear(const Lane& lane,
-                                           std::size_t start) const {
+inline std::size_t EventQueue::scan_linear(std::size_t start) const {
   // Level 0: the word containing `start`, bits at or above it.
   std::size_t w0 = start >> 6;
-  const std::uint64_t head =
-      lane.live0[w0] & (~std::uint64_t{0} << (start & 63));
+  const std::uint64_t head = live0_[w0] & (~std::uint64_t{0} << (start & 63));
   if (head != 0) return (w0 << 6) + lowest_set_bit(head);
   // Level 1: next non-zero level-0 word strictly above w0.
   std::size_t w1 = w0 >> 6;
   const std::uint64_t mid =
-      (w0 & 63) == 63
-          ? 0
-          : lane.live1[w1] & (~std::uint64_t{0} << ((w0 & 63) + 1));
+      (w0 & 63) == 63 ? 0
+                      : live1_[w1] & (~std::uint64_t{0} << ((w0 & 63) + 1));
   if (mid != 0) {
     w0 = (w1 << 6) + lowest_set_bit(mid);
-    return (w0 << 6) + lowest_set_bit(lane.live0[w0]);
+    return (w0 << 6) + lowest_set_bit(live0_[w0]);
   }
   // Level 2: next non-zero level-1 word strictly above w1.
   const std::uint64_t top =
-      (w1 & 63) == 63 ? 0 : lane.live2 & (~std::uint64_t{0} << (w1 + 1));
+      (w1 & 63) == 63 ? 0 : live2_ & (~std::uint64_t{0} << (w1 + 1));
   if (top != 0) {
     w1 = lowest_set_bit(top);
-    w0 = (w1 << 6) + lowest_set_bit(lane.live1[w1]);
-    return (w0 << 6) + lowest_set_bit(lane.live0[w0]);
+    w0 = (w1 << 6) + lowest_set_bit(live1_[w1]);
+    return (w0 << 6) + lowest_set_bit(live0_[w0]);
   }
   return kNearBuckets;
 }
 
-inline std::size_t EventQueue::scan_from(const Lane& lane,
-                                         std::size_t start) const {
+inline std::size_t EventQueue::scan_from(std::size_t start) const {
   // Ring order: [start, end) first, wrapping to [0, start).
-  const std::size_t above = scan_linear(lane, start);
+  const std::size_t above = scan_linear(start);
   if (above != kNearBuckets) return above;
-  const std::size_t below = scan_linear(lane, 0);
+  const std::size_t below = scan_linear(0);
   if (below != kNearBuckets) return below;
   throw std::logic_error("EventQueue: bitmap empty with near events pending");
 }
 
-inline EventQueue::Bucket* EventQueue::next_bucket(Lane& lane) {
-  if (lane.near_count == 0) {
-    if (lane.far.empty()) return nullptr;
-    lane.base = lane.far.front().when;
-    drain_far(lane);
+inline EventQueue::Bucket* EventQueue::next_bucket() {
+  if (near_count_ == 0) {
+    if (far_.empty()) return nullptr;
+    base_ = far_.front().when;
+    drain_far();
   } else {
-    const std::size_t b = scan_from(lane, lane.base & kNearMask);
-    lane.base = lane.nodes[lane.buckets[b].head].when;
+    const std::size_t b = scan_from(base_ & kNearMask);
+    base_ = nodes_[buckets_[b].head].when;
     // The window moved forward: pull in far events it now covers.  They
-    // all land strictly after `base` (they were beyond the old horizon),
+    // all land strictly after `base_` (they were beyond the old horizon),
     // so the minimum just found is unaffected.
-    drain_far(lane);
+    drain_far();
   }
-  return &lane.buckets[lane.base & kNearMask];
+  return &buckets_[base_ & kNearMask];
 }
 
-inline bool EventQueue::pop_lane(Lane& lane) {
-  Bucket* bucket = next_bucket(lane);
+inline bool EventQueue::run_one() {
+  Bucket* bucket = next_bucket();
   if (bucket == nullptr) return false;
 
   // Detach the head node *before* invoking: the action may schedule new
   // events (growing the arena or appending to this very bucket).
   const std::uint32_t index = bucket->head;
-  Node& node = lane.nodes[index];
+  Node& node = nodes_[index];
   now_ = node.when;
   Event action = std::move(node.action);
   bucket->head = node.next;
   if (bucket->head == kNil) {
     bucket->tail = kNil;
-    mark_empty(lane, lane.base & kNearMask);
+    mark_empty(base_ & kNearMask);
   }
-  --lane.near_count;
-  release_node(lane, index);
+  --near_count_;
+  release_node(index);
   ++executed_;
-  if (num_lanes_ > 1) {
-    lane.head_valid = false;
-    current_ = &lane;
-    executing_ = true;
-    action();
-    executing_ = false;
-    return true;
-  }
 
   action();
   return true;
-}
-
-inline bool EventQueue::run_one() {
-  if (num_lanes_ == 1) return pop_lane(lane0_);
-  // Sharded: pop the globally minimal (tick, seq).  Ties cannot happen —
-  // seq is globally unique — so the chosen lane is unambiguous and the
-  // execution order equals the single-lane order exactly.
-  Lane* best = nullptr;
-  Tick best_when = 0;
-  std::uint64_t best_seq = 0;
-  for (std::uint32_t i = 0; i < num_lanes_; ++i) {
-    Lane& l = lane(i);
-    if (!refresh_head(l)) continue;
-    if (best == nullptr || l.head_when < best_when ||
-        (l.head_when == best_when && l.head_seq < best_seq)) {
-      best = &l;
-      best_when = l.head_when;
-      best_seq = l.head_seq;
-    }
-  }
-  if (best == nullptr) return false;
-  return pop_lane(*best);
-}
-
-inline bool EventQueue::refresh_head(Lane& l) {
-  if (!l.head_valid) {
-    l.head_any = peek_lane(l, l.head_when, l.head_seq);
-    l.head_valid = true;
-  }
-  return l.head_any;
 }
 
 }  // namespace allarm::sim

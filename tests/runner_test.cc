@@ -119,10 +119,10 @@ TEST(ThreadPool, KeepsOnlyTheFirstOfManyErrors) {
 }
 
 TEST(ThreadPool, NestedPoolsDrainIndependently) {
-  // The shard+sweep contention shape: sweep-pool workers each drive their
-  // own flush pool (parallel::run_lax does exactly this with
-  // RunOptions::par_pool).  Waiting on the inner pool from an outer worker
-  // must not deadlock, and every subtask must run.
+  // ThreadPool makes no assumption about the thread that drives it: a task
+  // on one pool may own, fill and drain another (SweepRunner builds a
+  // private pool wherever it is called from).  Waiting on the inner pool
+  // from an outer worker must not deadlock, and every subtask must run.
   runner::ThreadPool outer(2);
   std::atomic<int> subtasks{0};
   for (int job = 0; job < 4; ++job) {
@@ -137,10 +137,11 @@ TEST(ThreadPool, NestedPoolsDrainIndependently) {
 }
 
 TEST(ThreadPool, SharedInnerPoolUnderOuterContention) {
-  // Several outer workers submitting to ONE shared inner pool (the budget
-  // split makes this jobs x shards <= --jobs): counts must come out exact
-  // and wait_idle on the outer pool must observe all inner completions
-  // that its own tasks waited for.
+  // Several submitters feeding ONE shared pool — the sweep service's shape,
+  // where every request thread submits its jobs through
+  // StreamOptions::pool: counts must come out exact and wait_idle on the
+  // outer pool must observe all inner completions that its own tasks
+  // waited for.
   runner::ThreadPool outer(3);
   runner::ThreadPool shared_inner(2);
   std::atomic<int> done{0};
@@ -159,7 +160,7 @@ TEST(ThreadPool, SharedInnerPoolUnderOuterContention) {
 TEST(ThreadPool, NestedExceptionPropagatesThroughBothPools) {
   // An inner-pool failure surfaces at the inner wait_idle (inside the outer
   // task), leaks from that task, and resurfaces at the OUTER wait_idle —
-  // the path a lax flush error would take through a sweep job.
+  // a failure deep inside a task that drives its own pool is never lost.
   runner::ThreadPool outer(2);
   outer.submit([] {
     runner::ThreadPool inner(2);
