@@ -6,16 +6,8 @@
 // after PR 2 made the kernel allocation-free) are visible directly rather
 // than diluted behind simulation work.
 //
-// Each generator is measured two ways:
-//
-//   <name>/next   - one virtual next() call per access (the issue path
-//                   used when think-jitter draws interleave with
-//                   generation draws);
-//   <name>/batch  - next_batch() in 64-access spans (the devirtualized
-//                   bulk path core::System's issue ring uses).
-//
-// Both paths produce byte-identical streams (pinned by
-// tests/workload_test.cc); this bench tracks only their speed.
+// Each generator is measured as <name>/next: one virtual next() call per
+// access, the path core::System issues every access through.
 //
 // The report reuses BENCH_kernel.json's schema (version 1) with
 // "bench": "generator_throughput", and events = accesses generated, so
@@ -39,7 +31,6 @@
 namespace allarm::bench {
 namespace {
 
-using workload::Access;
 using workload::AccessGenerator;
 
 struct Options {
@@ -90,13 +81,11 @@ std::unique_ptr<AccessGenerator> make_generator(const std::string& kind) {
   throw std::invalid_argument("unknown generator kind: " + kind);
 }
 
-GenResult measure(const std::string& kind, bool batch, const Options& opt) {
+GenResult measure(const std::string& kind, const Options& opt) {
   GenResult r;
-  r.name = kind + (batch ? "/batch" : "/next");
+  r.name = kind + "/next";
   r.accesses = opt.accesses;
   r.wall_seconds = 1e300;
-  constexpr std::size_t kBatch = 64;
-  Access sink[kBatch];
   std::uint64_t checksum = 0;  // Defeats dead-code elimination.
   for (int rep = 0; rep < opt.reps; ++rep) {
     auto gen = make_generator(kind);
@@ -105,18 +94,9 @@ GenResult measure(const std::string& kind, bool batch, const Options& opt) {
     // real head-advance arithmetic instead of a constant-folded head.
     Tick now = 0;
     const auto t0 = std::chrono::steady_clock::now();
-    if (batch) {
-      for (std::uint64_t done = 0; done < opt.accesses; done += kBatch) {
-        gen->next_batch(rng, now, workload::Span<Access>(sink, kBatch));
-        checksum ^= sink[0].vaddr;
-        now += kBatch * 2 * kTicksPerNs;
-      }
-    } else {
-      for (std::uint64_t done = 0; done < opt.accesses; ++done) {
-        sink[0] = gen->next(rng, now);
-        checksum ^= sink[0].vaddr;
-        now += 2 * kTicksPerNs;
-      }
+    for (std::uint64_t done = 0; done < opt.accesses; ++done) {
+      checksum ^= gen->next(rng, now).vaddr;
+      now += 2 * kTicksPerNs;
     }
     const auto t1 = std::chrono::steady_clock::now();
     const double secs = std::chrono::duration<double>(t1 - t0).count();
@@ -173,12 +153,9 @@ int run(const Options& opt) {
                          "profile"};
   std::vector<GenResult> results;
   for (const char* kind : kinds) {
-    for (const bool batch : {false, true}) {
-      const std::string name =
-          std::string(kind) + (batch ? "/batch" : "/next");
-      if (!selected(opt.only, name) && !selected(opt.only, kind)) continue;
-      results.push_back(measure(kind, batch, opt));
-    }
+    const std::string name = std::string(kind) + "/next";
+    if (!selected(opt.only, name) && !selected(opt.only, kind)) continue;
+    results.push_back(measure(kind, opt));
   }
   if (results.empty()) {
     std::cerr << "no generator selected by --only " << opt.only << "\n";

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "common/config.hh"
@@ -25,11 +26,16 @@ int main(int argc, char** argv) {
   config.probe_filter_coverage_bytes = pf_kb * 1024;
 
   workload::WorkloadSpec spec;
-  if (bench.size() > 3 && bench.substr(bench.size() - 3) == "-2p") {
-    spec = workload::make_multiprocess(bench.substr(0, bench.size() - 3),
-                                       config, accesses);
-  } else {
-    spec = workload::make_benchmark(bench, config, accesses);
+  try {
+    if (bench.size() > 3 && bench.substr(bench.size() - 3) == "-2p") {
+      spec = workload::make_multiprocess(bench.substr(0, bench.size() - 3),
+                                         config, accesses);
+    } else {
+      spec = workload::make_benchmark(bench, config, accesses);
+    }
+  } catch (const std::out_of_range& e) {
+    std::cerr << "calibrate: " << e.what() << '\n';
+    return 2;
   }
 
   const core::PairResult pair = core::run_pair(config, spec, 42);

@@ -10,6 +10,7 @@
 //   ./directory_sizing [benchmark] [accesses-per-thread]
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "common/config.hh"
@@ -24,6 +25,12 @@ int main(int argc, char** argv) {
   const std::string bench = argc > 1 ? argv[1] : "ocean-cont";
   const std::uint64_t accesses =
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 40000;
+  try {
+    workload::benchmark_params(bench);
+  } catch (const std::out_of_range& e) {
+    std::cerr << "directory_sizing: " << e.what() << '\n';
+    return 2;
+  }
 
   std::cout << "Directory sizing study: two single-threaded copies of '"
             << bench << "'\n\n";

@@ -7,6 +7,7 @@
 //   ./numa_placement [benchmark] [accesses-per-thread]
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "common/config.hh"
@@ -22,7 +23,13 @@ int main(int argc, char** argv) {
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 15000;
 
   SystemConfig config;
-  const auto spec = workload::make_benchmark(bench, config, accesses);
+  workload::WorkloadSpec spec;
+  try {
+    spec = workload::make_benchmark(bench, config, accesses);
+  } catch (const std::out_of_range& e) {
+    std::cerr << "numa_placement: " << e.what() << '\n';
+    return 2;
+  }
 
   std::cout << "Placement study on '" << bench << "' (" << accesses
             << " accesses/thread)\n\n";

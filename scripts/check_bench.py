@@ -7,8 +7,8 @@ Handles the schema_version-1 report kinds:
 - kernel_throughput (bench_kernel_throughput): full-System events/sec for
   the serial / multithreaded / migration / zipf profiles.
 - generator_throughput (bench_generator_throughput): raw workload-generator
-  accesses/sec, one next/ and one batch/ entry per generator kind (the
-  front-end the serial profile is bound by).
+  accesses/sec, one next/ entry per generator kind (the front-end the
+  serial profile is bound by).
 - trace_replay (bench_trace_replay): .altr trace-pipeline records/sec —
   raw block read, record decode, a full trace-replay simulation, and the
   equivalent direct synthetic simulation.
@@ -66,9 +66,7 @@ import sys
 
 KERNEL_WORKLOADS = ["serial", "multithreaded", "migration", "zipf"]
 GENERATOR_KINDS = ["sweep", "uniform", "zipf", "chunk", "creep", "profile"]
-GENERATOR_WORKLOADS = [
-    f"{kind}/{mode}" for kind in GENERATOR_KINDS for mode in ("next", "batch")
-]
+GENERATOR_WORKLOADS = [f"{kind}/next" for kind in GENERATOR_KINDS]
 TRACE_WORKLOADS = ["read", "decode", "replay", "synthetic"]
 REGION_WORKLOADS = [
     "baseline/r4096",

@@ -1,7 +1,6 @@
 #include "core/system.hh"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
 #include "common/flat_map.hh"
@@ -44,16 +43,11 @@ struct System::ThreadRuntime {
   std::uint64_t remaining = 0;
   NodeId node = kInvalidNode;  ///< Current placement (mirrors the OS map).
   bool in_warmup = false;
-  /// False when think-jitter draws interleave with generation draws — then
-  /// pre-generating a batch would reorder the rng stream, so the issue
-  /// path falls back to one generator->next() per access.
-  bool use_ring = true;
   Tick crossed_warmup_at = 0;  ///< When this thread entered its ROI.
   Tick finished_at = 0;
   /// Sim time of this thread's most recent issue, maintained only while
   /// the no-progress watchdog is armed (feeds the oldest-in-flight-access
-  /// line of its diagnostic; the ring path's last_issue_at below is not
-  /// equivalent — serial-issue threads never update it).
+  /// line of its diagnostic).
   Tick watchdog_issue_at = 0;
   /// Sim time of this thread's in-flight issue, maintained only while
   /// RunOptions::profile is armed (one outstanding access per thread, so
@@ -61,29 +55,6 @@ struct System::ThreadRuntime {
   Tick profile_issued_at = 0;
   System* system = nullptr;  ///< Back-pointer for the completion callback.
   std::uint32_t capture_slot = 0;  ///< Trace-writer slot while capturing.
-
-  // --- Batched issue ring (System::next_access / System::fill_ring) -------
-  /// Pre-sized, allocation-free: accesses are generated in bulk via
-  /// AccessGenerator::next_batch and issued one by one.
-  static constexpr std::uint32_t kRingCapacity = 64;
-  std::array<workload::Access, kRingCapacity> ring;
-  std::uint32_t ring_pos = 0;    ///< Next slot to issue.
-  std::uint32_t ring_count = 0;  ///< Valid slots in the current batch.
-  /// First tick at which unissued slots are stale (exclusive horizon from
-  /// next_batch); kTickNever when the batch can never go stale.
-  Tick ring_valid_until = 0;
-  /// True when the previous batch reported kTickNever — the next fill can
-  /// take a whole ring without risking replay work.
-  bool last_batch_timeless = false;
-  Tick last_issue_at = 0;
-  /// EWMA of inter-issue simulated time, the horizon-to-batch-size
-  /// predictor (starts at ~2 ns; self-corrects within a few accesses).
-  Tick avg_issue_gap = 2 * kTicksPerNs;
-  Rng fill_rng{0};  ///< Rng snapshot at the last horizon-limited fill.
-  /// Generator position snapshot matching fill_rng (reserved at setup so
-  /// steady-state fills never allocate).
-  std::vector<std::uint64_t> fill_state;
-
 };
 
 System::System(const SystemConfig& config, numa::AllocPolicy policy)
@@ -163,14 +134,12 @@ void System::issue_next(ThreadRuntime& thread) {
     return;
   }
   --thread.remaining;
-  workload::Access access;
-  if (capture_ == nullptr) {
-    access = next_access(thread);
-  } else {
-    // Capture: snapshot the rng around the (serial-path) generation so the
-    // record carries the exact draw count replay must burn.
-    const Rng before = thread.rng;
-    access = next_access(thread);
+  // Capture snapshots the rng around the generation so the record carries
+  // the exact draw count replay must burn.
+  const Rng before = thread.rng;
+  const workload::Access access =
+      thread.generator->next(thread.rng, events_.now());
+  if (capture_ != nullptr) {
     capture_->record(thread.capture_slot, access,
                      count_draws(before, thread.rng));
   }
@@ -203,68 +172,6 @@ void System::access_done_thunk(void* ctx, Tick done) {
   }
   self->events_.schedule_at(done + think,
                             [self, &thread] { self->issue_next(thread); });
-}
-
-workload::Access System::next_access(ThreadRuntime& thread) {
-  const Tick now = events_.now();
-  if (!thread.use_ring) return thread.generator->next(thread.rng, now);
-  const Tick gap = now - thread.last_issue_at;
-  thread.last_issue_at = now;
-  thread.avg_issue_gap = (3 * thread.avg_issue_gap + gap) / 4;
-  if (thread.ring_pos >= thread.ring_count) {
-    fill_ring(thread, now, /*replay=*/0);
-  } else if (now >= thread.ring_valid_until) {
-    // The batch was generated before a time-dependent generator's output
-    // shifted: everything not yet issued is stale.  Rewind and regenerate
-    // from the issued prefix so the stream stays byte-identical.
-    fill_ring(thread, now, /*replay=*/thread.ring_pos);
-  }
-  return thread.ring[thread.ring_pos++];
-}
-
-void System::fill_ring(ThreadRuntime& thread, Tick now, std::uint32_t replay) {
-  workload::AccessGenerator* gen = thread.generator.get();
-  if (replay > 0) {
-    // Replay: restore the fill-time rng and generator position, burn the
-    // draws of the `replay` slots already issued (the draw sequence never
-    // depends on `now`, so this lands exactly on the state a serial issue
-    // path would have here), then fall through to a fresh fill at `now`.
-    thread.rng = thread.fill_rng;
-    const std::uint64_t* state = thread.fill_state.data();
-    gen->restore_state(state);
-    gen->next_batch(thread.rng, now,
-                    workload::Span<workload::Access>(thread.ring.data(),
-                                                     replay));
-  }
-  // Batch size: a whole ring when nothing in it can go stale, else the
-  // predicted number of accesses that fit before the validity horizon
-  // (oversizing is still correct — it just buys replay work).
-  std::uint32_t count = ThreadRuntime::kRingCapacity;
-  const Tick conservative = gen->validity_horizon(now);
-  if (conservative != kTickNever) {
-    if (!thread.last_batch_timeless) {
-      const Tick gap = thread.avg_issue_gap > 0 ? thread.avg_issue_gap : 1;
-      const Tick predicted = (conservative - now) / gap;
-      if (predicted < count) {
-        count = predicted > 0 ? static_cast<std::uint32_t>(predicted) : 1;
-      }
-    }
-    // A finite horizon means this batch may need a replay later: snapshot
-    // the rng and the generator position it starts from.
-    thread.fill_rng = thread.rng;
-    thread.fill_state.clear();
-    gen->save_state(thread.fill_state);
-  }
-  // Never pre-draw past the end of the thread's budget (`remaining` was
-  // already decremented for the access being issued now).
-  const std::uint64_t left = thread.remaining + 1;
-  if (left < count) count = static_cast<std::uint32_t>(left);
-  thread.ring_valid_until = gen->next_batch(
-      thread.rng, now,
-      workload::Span<workload::Access>(thread.ring.data(), count));
-  thread.last_batch_timeless = thread.ring_valid_until == kTickNever;
-  thread.ring_pos = 0;
-  thread.ring_count = count;
 }
 
 void System::schedule_migrations(const RunOptions& options) {
@@ -381,12 +288,6 @@ RunResult System::run(const workload::WorkloadSpec& spec,
     rt->remaining = ts.warmup_accesses + ts.accesses;
     rt->node = ts.node;
     rt->in_warmup = ts.warmup_accesses > 0;
-    // Think-jitter draws interleave with generation draws access by
-    // access; pre-generating a batch would reorder them.  Capture also
-    // issues serially (stream-identical) so each record's rng-draw count
-    // belongs to exactly one access.
-    rt->use_ring =
-        (ts.think == 0 || ts.think_jitter <= 0.0) && capture_ == nullptr;
     if (capture_ != nullptr) {
       trace::TraceThreadMeta thread_meta;
       thread_meta.id = ts.id;
@@ -400,9 +301,6 @@ RunResult System::run(const workload::WorkloadSpec& spec,
       rt->capture_slot = capture_->add_thread(thread_meta);
     }
     rt->system = this;
-    // Pre-size the replay snapshot so steady-state fills never allocate.
-    rt->generator->save_state(rt->fill_state);
-    rt->fill_state.clear();
     if (rt->in_warmup) ++threads_in_warmup_;
     os_.place_thread(ts.id, ts.node);
     threads_.push_back(std::move(rt));

@@ -53,8 +53,6 @@ struct RunOptions {
   /// placements, and every executed access with the rng-draw count its
   /// generator consumed — everything trace replay needs to reproduce the
   /// run byte-identically.  The caller finishes the writer after run().
-  /// Capture forces the serial issue path (stream-identical to the ring by
-  /// the next_batch contract) so draw counts attribute to single accesses.
   trace::TraceWriter* capture = nullptr;
   /// When true, the run records latency histograms (per-access
   /// request→completion latency, directory occupancy at request arrival,
@@ -128,15 +126,6 @@ class System {
   /// Completion trampoline for CacheController::DoneFn: `ctx` is the
   /// issuing ThreadRuntime (which carries its System back-pointer).
   static void access_done_thunk(void* ctx, Tick done);
-  /// Pops one access from the thread's pre-generated ring (refilling /
-  /// regenerating as needed); byte-identical to generator->next() per
-  /// access but amortizes the virtual dispatch over whole batches.
-  workload::Access next_access(ThreadRuntime& thread);
-  /// (Re)fills the ring at simulated time `now`.  `replay` > 0 rewinds the
-  /// rng and generator to the previous fill's snapshot and burns that many
-  /// accesses first — the already-issued prefix of a batch whose
-  /// time-dependent tail went stale.
-  void fill_ring(ThreadRuntime& thread, Tick now, std::uint32_t replay);
   void schedule_migrations(const RunOptions& options);
   /// One periodic migration step; reschedules itself while threads run.
   void migration_tick();

@@ -1,6 +1,5 @@
 #include "trace/reader.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
@@ -288,62 +287,29 @@ TraceCursor::TraceCursor(std::shared_ptr<const TraceReader> reader,
     : owner_(std::move(reader)),
       reader_(owner_.get()),
       blocks_(&reader_->thread_blocks(slot)),
-      slot_(slot),
       size_(reader_->thread_records(slot)) {}
 
 TraceCursor::TraceCursor(const TraceReader& reader, std::uint32_t slot)
     : reader_(&reader),
       blocks_(&reader_->thread_blocks(slot)),
-      slot_(slot),
       size_(reader_->thread_records(slot)) {}
 
-void TraceCursor::load(std::size_t block_pos) {
-  const IndexEntry& block = (*blocks_)[block_pos];
+void TraceCursor::load_next_block() {
+  const IndexEntry& block = (*blocks_)[next_block_++];
   reader_->load_block(block, payload_);
   decoder_ = Decoder{reinterpret_cast<const unsigned char*>(payload_.data()),
                      payload_.size(), 0};
   prev_vaddr_ = 0;
-  block_pos_ = block_pos;
   left_in_block_ = block.record_count;
-  loaded_ = true;
 }
 
 bool TraceCursor::next(Record& out) {
   if (position_ >= size_) return false;
-  if (!loaded_ || left_in_block_ == 0) {
-    load(loaded_ ? block_pos_ + 1 : 0);
-  }
+  if (left_in_block_ == 0) load_next_block();
   out = decode_record(decoder_, prev_vaddr_);
   --left_in_block_;
   ++position_;
   return true;
-}
-
-void TraceCursor::seek(std::uint64_t index) {
-  if (index > size_) {
-    throw std::out_of_range("TraceCursor: seek past end of stream");
-  }
-  position_ = index;
-  loaded_ = false;
-  left_in_block_ = 0;
-  if (index >= size_) return;  // Next next() returns false.
-
-  // Last block whose first_index <= index.
-  const auto it = std::upper_bound(
-      blocks_->begin(), blocks_->end(), index,
-      [](std::uint64_t i, const IndexEntry& b) { return i < b.first_index; });
-  const std::size_t block_pos =
-      static_cast<std::size_t>(it - blocks_->begin()) - 1;
-  load(block_pos);
-
-  // Decode-skip to the target record.  Skipping burns no rng state — the
-  // caller owns rng positioning (System's replay path restores its own
-  // snapshot); seek only moves the stream.
-  Record scratch;
-  for (std::uint64_t i = (*blocks_)[block_pos].first_index; i < index; ++i) {
-    scratch = decode_record(decoder_, prev_vaddr_);
-    --left_in_block_;
-  }
 }
 
 }  // namespace allarm::trace

@@ -8,9 +8,7 @@
 //
 // A cursor keeps exactly one decoded block resident (its payload buffer
 // is reused across block loads, so steady-state iteration allocates
-// nothing) and can seek to any per-thread record index in O(log blocks)
-// via the footer index — the mechanism TraceReplayGenerator's
-// save_state/restore_state rewind uses.
+// nothing once it reaches the largest block's size).
 #pragma once
 
 #include <cstdint>
@@ -92,7 +90,7 @@ struct VerifyReport {
 /// (open/pread failures) throw; corruption is data, not an exception.
 VerifyReport verify_trace(const std::string& path);
 
-/// Sequential/seekable iterator over one thread's records.
+/// Sequential iterator over one thread's records.
 class TraceCursor {
  public:
   /// Owning cursor: keeps the reader alive (the generator/replay case).
@@ -101,27 +99,18 @@ class TraceCursor {
   /// Non-owning cursor: `reader` must outlive it (stack iteration).
   TraceCursor(const TraceReader& reader, std::uint32_t slot);
 
-  /// Per-thread index of the next record next() returns.
-  std::uint64_t position() const { return position_; }
-
   /// Total records in this thread's stream.
   std::uint64_t size() const { return size_; }
 
   /// Decodes the next record; returns false at end of stream.
   bool next(Record& out);
 
-  /// Repositions to per-thread record `index` (<= size()).  O(log blocks)
-  /// plus a decode-skip within the target block; allocation-free once the
-  /// payload buffer reached its high-water capacity.
-  void seek(std::uint64_t index);
-
  private:
-  void load(std::size_t block_pos);
+  void load_next_block();
 
   std::shared_ptr<const TraceReader> owner_;  ///< Keep-alive; may be empty.
   const TraceReader* reader_ = nullptr;
   const std::vector<IndexEntry>* blocks_ = nullptr;
-  std::uint32_t slot_ = 0;
   std::uint64_t size_ = 0;
   std::uint64_t position_ = 0;
 
@@ -129,9 +118,8 @@ class TraceCursor {
   std::string payload_;
   Decoder decoder_{};
   Addr prev_vaddr_ = 0;
-  std::size_t block_pos_ = 0;       ///< Index into blocks_ of the loaded block.
+  std::size_t next_block_ = 0;      ///< Index into blocks_ of the next load.
   std::uint32_t left_in_block_ = 0; ///< Records not yet decoded from it.
-  bool loaded_ = false;
 };
 
 }  // namespace allarm::trace

@@ -8,7 +8,7 @@ TraceReplayGenerator::TraceReplayGenerator(
     std::shared_ptr<const TraceReader> reader, std::uint32_t slot)
     : cursor_(std::move(reader), slot) {}
 
-workload::Access TraceReplayGenerator::decode_one(Rng& rng) {
+workload::Access TraceReplayGenerator::next(Rng& rng, Tick) {
   Record record;
   if (!cursor_.next(record)) {
     throw std::logic_error("TraceReplayGenerator: ran past the end of the "
@@ -18,24 +18,6 @@ workload::Access TraceReplayGenerator::decode_one(Rng& rng) {
   // stream stays in lockstep with the captured run.
   for (std::uint32_t i = 0; i < record.rng_draws; ++i) rng.next();
   return record.access;
-}
-
-workload::Access TraceReplayGenerator::next(Rng& rng, Tick) {
-  return decode_one(rng);
-}
-
-Tick TraceReplayGenerator::next_batch(Rng& rng, Tick,
-                                      workload::Span<workload::Access> out) {
-  for (workload::Access& a : out) a = decode_one(rng);
-  return kTickNever;
-}
-
-void TraceReplayGenerator::save_state(std::vector<std::uint64_t>& out) const {
-  out.push_back(cursor_.position());
-}
-
-void TraceReplayGenerator::restore_state(const std::uint64_t*& data) {
-  cursor_.seek(*data++);
 }
 
 workload::WorkloadSpec make_replay_workload(

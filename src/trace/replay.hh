@@ -21,25 +21,18 @@
 
 namespace allarm::trace {
 
-/// Replays one thread slot's records through the full AccessGenerator
-/// contract: devirtualized next_batch, kTickNever horizon (addresses are
-/// baked into the trace), and save_state/restore_state via cursor seek —
-/// so replay flows through core::System's issue ring allocation-free.
+/// Replays one thread slot's records, one per next() call, streaming the
+/// trace a block at a time (allocation-free once the cursor's payload
+/// buffer reaches its high-water size).  Running past the end of the
+/// slot's records throws std::logic_error.
 class TraceReplayGenerator final : public workload::AccessGenerator {
  public:
   TraceReplayGenerator(std::shared_ptr<const TraceReader> reader,
                        std::uint32_t slot);
 
   workload::Access next(Rng& rng, Tick now) override;
-  Tick next_batch(Rng& rng, Tick now,
-                  workload::Span<workload::Access> out) override;
-  Tick validity_horizon(Tick) const override { return kTickNever; }
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void restore_state(const std::uint64_t*& data) override;
 
  private:
-  workload::Access decode_one(Rng& rng);
-
   TraceCursor cursor_;
 };
 

@@ -1,6 +1,5 @@
 #include "workload/generator.hh"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace allarm::workload {
@@ -28,30 +27,6 @@ Access SequentialSweep::next(Rng& rng, Tick) {
   return {a, pick(rng, p_write_)};
 }
 
-Tick SequentialSweep::next_batch(Rng& rng, Tick, Span<Access> out) {
-  const Addr base = base_;
-  const std::uint64_t length = length_;
-  const std::uint64_t stride = stride_;
-  const double p_write = p_write_;
-  std::uint64_t offset = offset_;
-  for (Access& a : out) {
-    a.vaddr = base + offset;
-    a.type = pick(rng, p_write);
-    offset += stride;
-    if (offset >= length) offset = 0;
-  }
-  offset_ = offset;
-  return kTickNever;
-}
-
-void SequentialSweep::save_state(std::vector<std::uint64_t>& out) const {
-  out.push_back(offset_);
-}
-
-void SequentialSweep::restore_state(const std::uint64_t*& data) {
-  offset_ = *data++;
-}
-
 // --------------------------------------------------------- UniformRandom ----
 
 UniformRandom::UniformRandom(Addr base, std::uint64_t length, double p_write)
@@ -62,17 +37,6 @@ UniformRandom::UniformRandom(Addr base, std::uint64_t length, double p_write)
 Access UniformRandom::next(Rng& rng, Tick) {
   const Addr a = base_ + (rng.below(lines_) << kLineBits);
   return {a, pick(rng, p_write_)};
-}
-
-Tick UniformRandom::next_batch(Rng& rng, Tick, Span<Access> out) {
-  const Addr base = base_;
-  const std::uint64_t lines = lines_;
-  const double p_write = p_write_;
-  for (Access& a : out) {
-    a.vaddr = base + (rng.below(lines) << kLineBits);
-    a.type = pick(rng, p_write);
-  }
-  return kTickNever;
 }
 
 // ------------------------------------------------------------- ZipfPages ----
@@ -86,18 +50,6 @@ Access ZipfPages::next(Rng& rng, Tick) {
   const std::uint64_t line = rng.below(kLinesPerPage);
   const Addr a = base_ + (page << kPageBits) + (line << kLineBits);
   return {a, pick(rng, p_write_)};
-}
-
-Tick ZipfPages::next_batch(Rng& rng, Tick, Span<Access> out) {
-  const Addr base = base_;
-  const double p_write = p_write_;
-  for (Access& a : out) {
-    const std::uint64_t page = pages_(rng);
-    const std::uint64_t line = rng.below(kLinesPerPage);
-    a.vaddr = base + (page << kPageBits) + (line << kLineBits);
-    a.type = pick(rng, p_write);
-  }
-  return kTickNever;
 }
 
 // ------------------------------------------------------------- ChunkCycle ----
@@ -126,31 +78,6 @@ Access ChunkCycle::next(Rng& rng, Tick) {
   return {a, pick(rng, p_write_)};
 }
 
-Tick ChunkCycle::next_batch(Rng& rng, Tick, Span<Access> out) {
-  const double p_write = p_write_;
-  Addr chunk_base = base_ + chunk_ * chunk_bytes_;
-  for (Access& a : out) {
-    a.vaddr = chunk_base + (within_ << kLineBits);
-    a.type = pick(rng, p_write);
-    if (++within_ == accesses_per_chunk_) {
-      within_ = 0;
-      if (++chunk_ == num_chunks_) chunk_ = 0;
-      chunk_base = base_ + chunk_ * chunk_bytes_;
-    }
-  }
-  return kTickNever;
-}
-
-void ChunkCycle::save_state(std::vector<std::uint64_t>& out) const {
-  out.push_back(within_);
-  out.push_back(chunk_);
-}
-
-void ChunkCycle::restore_state(const std::uint64_t*& data) {
-  within_ = *data++;
-  chunk_ = static_cast<std::uint32_t>(*data++);
-}
-
 // ---------------------------------------------------------- CreepingShared ----
 
 CreepingShared::CreepingShared(Addr base, std::uint64_t region_bytes,
@@ -171,23 +98,6 @@ Access CreepingShared::next(Rng& rng, Tick now) {
   std::uint64_t line = head_mod_region(now) + rng.below(window_lines_);
   if (line >= region_lines_) line -= region_lines_;
   return {base_ + (line << kLineBits), pick(rng, p_write_)};
-}
-
-Tick CreepingShared::next_batch(Rng& rng, Tick now, Span<Access> out) {
-  // The head is a function of `now` alone: one divide and one modulo for
-  // the whole batch instead of per access.
-  const std::uint64_t head = head_mod_region(now);
-  const std::uint64_t region = region_lines_;
-  const std::uint64_t window = window_lines_;
-  const Addr base = base_;
-  const double p_write = p_write_;
-  for (Access& a : out) {
-    std::uint64_t line = head + rng.below(window);
-    if (line >= region) line -= region;
-    a.vaddr = base + (line << kLineBits);
-    a.type = pick(rng, p_write);
-  }
-  return validity_horizon(now);
 }
 
 // ------------------------------------------------------------------ Phased ----
@@ -222,66 +132,12 @@ Access Phased::next(Rng& rng, Tick now) {
   return tail_->next(rng, now);
 }
 
-Tick Phased::next_batch(Rng& rng, Tick now, Span<Access> out) {
-  Tick horizon = kTickNever;
-  std::size_t filled = 0;
-  while (filled < out.size()) {
-    if (current_ >= stages_.size()) {
-      if (!tail_) throw std::logic_error("Phased: no tail generator");
-      const Tick h = tail_->next_batch(
-          rng, now, Span<Access>(out.data + filled, out.size() - filled));
-      return std::min(horizon, h);
-    }
-    auto& [count, stage] = stages_[current_];
-    const std::uint64_t left = count - consumed_in_stage_;
-    if (left == 0) {
-      ++current_;
-      consumed_in_stage_ = 0;
-      continue;
-    }
-    const std::size_t take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(left, out.size() - filled));
-    const Tick h =
-        stage->next_batch(rng, now, Span<Access>(out.data + filled, take));
-    horizon = std::min(horizon, h);
-    consumed_in_stage_ += take;
-    filled += take;
-  }
-  return horizon;
-}
-
-Tick Phased::validity_horizon(Tick now) const {
-  // Conservative: the min over every stage that could contribute to a
-  // batch starting here (remaining stages and the tail).
-  Tick horizon = kTickNever;
-  for (std::size_t s = current_; s < stages_.size(); ++s) {
-    horizon = std::min(horizon, stages_[s].second->validity_horizon(now));
-  }
-  if (tail_) horizon = std::min(horizon, tail_->validity_horizon(now));
-  return horizon;
-}
-
-void Phased::save_state(std::vector<std::uint64_t>& out) const {
-  out.push_back(current_);
-  out.push_back(consumed_in_stage_);
-  for (const auto& [count, stage] : stages_) stage->save_state(out);
-  if (tail_) tail_->save_state(out);
-}
-
-void Phased::restore_state(const std::uint64_t*& data) {
-  current_ = static_cast<std::size_t>(*data++);
-  consumed_in_stage_ = *data++;
-  for (auto& [count, stage] : stages_) stage->restore_state(data);
-  if (tail_) tail_->restore_state(data);
-}
-
 // -------------------------------------------------------------------- Mix ----
 
 void Mix::add(double weight, std::unique_ptr<AccessGenerator> child) {
   if (weight <= 0.0) throw std::invalid_argument("Mix: non-positive weight");
   total_weight_ += weight;
   children_.emplace_back(weight, std::move(child));
-  child_horizons_.resize(children_.size());
 }
 
 std::size_t Mix::pick_child(double u) const {
@@ -296,43 +152,6 @@ Access Mix::next(Rng& rng, Tick now) {
   if (children_.empty()) throw std::logic_error("Mix: no children");
   const double u = rng.uniform() * total_weight_;
   return children_[pick_child(u)].second->next(rng, now);
-}
-
-Tick Mix::next_batch(Rng& rng, Tick now, Span<Access> out) {
-  if (children_.empty()) throw std::logic_error("Mix: no children");
-  // Child selection is one uniform per access, drawn before the child's
-  // own draws — exactly next()'s order, so batching is stream-invisible.
-  // Horizons are a per-child function of `now` alone: compute them once
-  // per batch, and fold in only the children actually selected, so a
-  // batch with no time-dependent picks never forces regeneration.
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    child_horizons_[i] = children_[i].second->validity_horizon(now);
-  }
-  Tick horizon = kTickNever;
-  const double total_weight = total_weight_;
-  for (Access& a : out) {
-    const double u = rng.uniform() * total_weight;
-    const std::size_t i = pick_child(u);
-    a = children_[i].second->next(rng, now);
-    horizon = std::min(horizon, child_horizons_[i]);
-  }
-  return horizon;
-}
-
-Tick Mix::validity_horizon(Tick now) const {
-  Tick horizon = kTickNever;
-  for (const auto& [w, child] : children_) {
-    horizon = std::min(horizon, child->validity_horizon(now));
-  }
-  return horizon;
-}
-
-void Mix::save_state(std::vector<std::uint64_t>& out) const {
-  for (const auto& [w, child] : children_) child->save_state(out);
-}
-
-void Mix::restore_state(const std::uint64_t*& data) {
-  for (auto& [w, child] : children_) child->restore_state(data);
 }
 
 }  // namespace allarm::workload

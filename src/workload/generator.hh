@@ -3,22 +3,7 @@
 // Each generator produces an infinite stream of virtual-address accesses;
 // composition (mixtures, phases) builds realistic multi-threaded access
 // patterns out of simple primitives.  All randomness flows through the Rng
-// passed to next()/next_batch(), so streams are reproducible.
-//
-// Two ways to pull the stream:
-//
-//  - next(rng, now): one access, one virtual call.
-//  - next_batch(rng, now, span): many accesses in one virtual call, with
-//    devirtualized inner loops and loop-invariant arithmetic hoisted out.
-//    The batch consumes exactly the rng draws that the same number of
-//    next() calls at the same `now` would, in the same order, and produces
-//    byte-identical accesses — batch boundaries are invisible to the
-//    stream.  It returns a validity horizon: the first simulated tick at
-//    which a time-dependent generator (CreepingShared) would have produced
-//    different addresses.  Callers that pre-generate ahead of simulated
-//    time (core::System's issue ring) must discard and regenerate any
-//    prefetched accesses they would issue at or after that horizon;
-//    kTickNever means the batch never goes stale.
+// passed to next(), so streams are reproducible.
 #pragma once
 
 #include <cstddef>
@@ -38,21 +23,6 @@ struct Access {
   AccessType type = AccessType::kLoad;
 };
 
-/// Minimal contiguous view (C++17 stand-in for std::span<Access>).
-template <typename T>
-struct Span {
-  T* data = nullptr;
-  std::size_t count = 0;
-
-  Span() = default;
-  Span(T* d, std::size_t n) : data(d), count(n) {}
-
-  T* begin() const { return data; }
-  T* end() const { return data + count; }
-  std::size_t size() const { return count; }
-  T& operator[](std::size_t i) const { return data[i]; }
-};
-
 /// Infinite access-stream interface.  `now` is the simulated time at which
 /// the access is issued; most generators ignore it, but globally-paced
 /// patterns (CreepingShared) use it to stay synchronized across threads.
@@ -60,36 +30,6 @@ class AccessGenerator {
  public:
   virtual ~AccessGenerator() = default;
   virtual Access next(Rng& rng, Tick now) = 0;
-
-  /// Fills `out` with the next out.size() accesses, all generated as of
-  /// simulated time `now`, and returns the batch's validity horizon (see
-  /// file comment).  Byte- and draw-identical to out.size() next() calls
-  /// at the same `now`.  The default loops next(); generators override it
-  /// with devirtualized bulk loops.
-  virtual Tick next_batch(Rng& rng, Tick now, Span<Access> out) {
-    for (Access& a : out) a = next(rng, now);
-    return validity_horizon(now);
-  }
-
-  /// First tick at which this generator's output function (for a fixed rng
-  /// state) may differ from its output at `now`.  kTickNever for
-  /// time-invariant generators.  The conservative base answers "already
-  /// stale" so unknown subclasses are never pre-generated ahead of time.
-  virtual Tick validity_horizon(Tick now) const { return now; }
-
-  /// Appends this generator's mutable position state (and, recursively,
-  /// its children's) to `out`.  restore_state() consumes the same words in
-  /// the same order.  Together they let a caller that pre-generated ahead
-  /// of simulated time rewind to a snapshot and replay — the mechanism
-  /// core::System uses to keep its issue ring byte-identical to unbatched
-  /// issue when a time-dependent generator's output shifts mid-ring.
-  /// Stateless generators (the default) save nothing.
-  virtual void save_state(std::vector<std::uint64_t>& out) const {
-    (void)out;
-  }
-
-  /// Inverse of save_state(); advances `data` past the consumed words.
-  virtual void restore_state(const std::uint64_t*& data) { (void)data; }
 };
 
 /// Sequentially sweeps [base, base+length) with the given stride, wrapping
@@ -100,10 +40,6 @@ class SequentialSweep final : public AccessGenerator {
   SequentialSweep(Addr base, std::uint64_t length, std::uint32_t stride,
                   double p_write);
   Access next(Rng& rng, Tick now) override;
-  Tick next_batch(Rng& rng, Tick now, Span<Access> out) override;
-  Tick validity_horizon(Tick) const override { return kTickNever; }
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void restore_state(const std::uint64_t*& data) override;
 
  private:
   Addr base_;
@@ -118,8 +54,6 @@ class UniformRandom final : public AccessGenerator {
  public:
   UniformRandom(Addr base, std::uint64_t length, double p_write);
   Access next(Rng& rng, Tick now) override;
-  Tick next_batch(Rng& rng, Tick now, Span<Access> out) override;
-  Tick validity_horizon(Tick) const override { return kTickNever; }
 
  private:
   Addr base_;
@@ -133,8 +67,6 @@ class ZipfPages final : public AccessGenerator {
  public:
   ZipfPages(Addr base, std::uint64_t num_pages, double alpha, double p_write);
   Access next(Rng& rng, Tick now) override;
-  Tick next_batch(Rng& rng, Tick now, Span<Access> out) override;
-  Tick validity_horizon(Tick) const override { return kTickNever; }
 
  private:
   Addr base_;
@@ -151,10 +83,6 @@ class ChunkCycle final : public AccessGenerator {
   ChunkCycle(Addr base, std::uint64_t chunk_bytes, std::uint32_t num_chunks,
              std::uint32_t phase, double p_write);
   Access next(Rng& rng, Tick now) override;
-  Tick next_batch(Rng& rng, Tick now, Span<Access> out) override;
-  Tick validity_horizon(Tick) const override { return kTickNever; }
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void restore_state(const std::uint64_t*& data) override;
 
  private:
   /// Current position, strength-reduced: (chunk_, within_line_) advance by
@@ -188,12 +116,6 @@ class CreepingShared final : public AccessGenerator {
                  std::uint32_t window_lines, Tick advance_period,
                  double p_write);
   Access next(Rng& rng, Tick now) override;
-  Tick next_batch(Rng& rng, Tick now, Span<Access> out) override;
-  /// Output changes when the window head (now / advance_period) advances:
-  /// valid until the next multiple of the advance period.
-  Tick validity_horizon(Tick now) const override {
-    return (now / advance_period_ + 1) * advance_period_;
-  }
 
  private:
   /// Window base line at `now`, reduced modulo the region once so the
@@ -224,13 +146,6 @@ class Phased final : public AccessGenerator {
   std::uint64_t prefix_length() const;
 
   Access next(Rng& rng, Tick now) override;
-  /// Splits the batch at stage boundaries and bulk-fills each piece from
-  /// the owning stage, so a batch spanning stages is still byte-identical
-  /// to repeated next() calls.
-  Tick next_batch(Rng& rng, Tick now, Span<Access> out) override;
-  Tick validity_horizon(Tick now) const override;
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void restore_state(const std::uint64_t*& data) override;
 
  private:
   std::vector<std::pair<std::uint64_t, std::unique_ptr<AccessGenerator>>> stages_;
@@ -244,12 +159,6 @@ class Mix final : public AccessGenerator {
  public:
   void add(double weight, std::unique_ptr<AccessGenerator> child);
   Access next(Rng& rng, Tick now) override;
-  /// Per-access child selection draws stay in next() order; the horizon is
-  /// the min over children actually selected in this batch.
-  Tick next_batch(Rng& rng, Tick now, Span<Access> out) override;
-  Tick validity_horizon(Tick now) const override;
-  void save_state(std::vector<std::uint64_t>& out) const override;
-  void restore_state(const std::uint64_t*& data) override;
 
  private:
   /// Selects the child for one uniform draw (the draw ordering contract:
@@ -258,10 +167,6 @@ class Mix final : public AccessGenerator {
 
   std::vector<std::pair<double, std::unique_ptr<AccessGenerator>>> children_;
   double total_weight_ = 0.0;
-  /// Per-batch scratch: each child's validity horizon at the batch's
-  /// `now`, computed once per batch instead of once per access.  Sized in
-  /// add() so next_batch never allocates.
-  std::vector<Tick> child_horizons_;
 };
 
 }  // namespace allarm::workload

@@ -19,8 +19,10 @@
 
 #include "common/checksum.hh"
 #include "common/config.hh"
+#include "core/experiment.hh"
 #include "runner/report.hh"
 #include "runner/sweep.hh"
+#include "workload/profiles.hh"
 
 namespace allarm {
 namespace {
@@ -69,6 +71,41 @@ TEST(GoldenReport, ReportBytesArePinned) {
   const runner::SweepResult result = runner::SweepRunner(2).run(golden_spec());
   EXPECT_EQ(fnv1a(runner::to_json(result)), kJsonDigest);
   EXPECT_EQ(fnv1a(runner::to_csv(result)), kCsvDigest);
+}
+
+/// Every stock profile uses think-jitter, so the sweep above never covers
+/// jitter-free issue.  This pins ocean-cont (Mix, Phased warm-up and the
+/// time-dependent CreepingShared) with `think_jitter = 0` through
+/// core::run_request in both directory modes: an FNV-1a digest of the full
+/// stat dump plus the executed event count.
+struct JitterFreePin {
+  DirectoryMode mode;
+  std::uint64_t stats_digest;
+  std::uint64_t events;
+};
+
+constexpr JitterFreePin kJitterFreePins[] = {
+    {DirectoryMode::kBaseline, 0xe2efbb1fb621ce58ull, 2306041},
+    {DirectoryMode::kAllarm, 0x8386ada52663cacdull, 1285988},
+};
+
+TEST(GoldenReport, JitterFreeOceanContIsPinned) {
+  workload::ProfileParams params = workload::benchmark_params("ocean-cont");
+  params.think_jitter = 0.0;
+  core::RunRequest request;
+  request.spec = workload::make_from_params(params, request.config,
+                                            /*accesses_per_thread=*/300,
+                                            request.config.num_cores);
+  request.seed = 42;
+  for (const JitterFreePin& pin : kJitterFreePins) {
+    request.mode = pin.mode;
+    const core::RunResult result = core::run_request(request);
+    EXPECT_EQ(fnv1a(result.stats.to_string()), pin.stats_digest)
+        << to_string(pin.mode);
+    EXPECT_EQ(static_cast<std::uint64_t>(result.stats.get("sim.events")),
+              pin.events)
+        << to_string(pin.mode);
+  }
 }
 
 }  // namespace

@@ -120,59 +120,38 @@ TEST(KernelAllocations, FarHorizonSteadyStateIsAllocationFree) {
       << "far-heap traffic allocated in steady state";
 }
 
-TEST(KernelAllocations, BatchedGenerationIsAllocationFree) {
-  // The batched issue path pre-generates accesses through
-  // AccessGenerator::next_batch into a pre-sized ring.  Steady-state
-  // generation must allocate nothing: no per-batch vectors, no Mix/Phased
-  // scratch growth — construction reserves everything.
+TEST(KernelAllocations, SteadyStateGenerationIsAllocationFree) {
+  // Every issued access comes from AccessGenerator::next(), which must
+  // allocate nothing once the generator is constructed: no Mix/Phased
+  // scratch growth, no lazily built tables.  The measured window starts
+  // right after construction, so a first-call setup allocation (a Zipf
+  // guide table built on first sample) fails here too.
   SystemConfig config;
   const workload::WorkloadSpec spec =
       workload::make_benchmark("ocean-cont", config, 1000);
   std::vector<std::unique_ptr<workload::AccessGenerator>> generators;
-  std::vector<Rng> rngs;
-  for (std::size_t t = 0; t < spec.threads.size(); ++t) {
-    generators.push_back(spec.threads[t].make_generator());
-    rngs.emplace_back(t + 1);
+  std::vector<std::uint64_t> lengths;
+  for (const workload::ThreadSpec& ts : spec.threads) {
+    generators.push_back(ts.make_generator());
+    // Cross every Phased warm-up stage boundary into the steady-state mix.
+    lengths.push_back(ts.warmup_accesses + 4096);
   }
-  // Dedicated Zipf generator: its guide table must be built up front.
   generators.push_back(
       std::make_unique<workload::ZipfPages>(0x1000, 1024, 0.9, 0.2));
-  rngs.emplace_back(99);
-
-  // Replay snapshot buffers, reserved once like System::run does.
-  std::vector<std::vector<std::uint64_t>> states(generators.size());
-  for (std::size_t g = 0; g < generators.size(); ++g) {
-    generators[g]->save_state(states[g]);
-    states[g].clear();
-  }
-
-  constexpr std::size_t kRing = 64;
-  workload::Access ring[kRing];
-  const workload::Span<workload::Access> span(ring, kRing);
-
-  // Warm-up: cross every Phased stage boundary at least once.
-  for (std::size_t g = 0; g < generators.size(); ++g) {
-    for (int i = 0; i < 64; ++i) generators[g]->next_batch(rngs[g], 0, span);
-  }
+  lengths.push_back(4096);
 
   const std::uint64_t news_before = g_news.load(std::memory_order_relaxed);
-  Tick now = 0;
-  for (int round = 0; round < 200; ++round) {
-    for (std::size_t g = 0; g < generators.size(); ++g) {
-      // Fill, snapshot (the ring's replay bookkeeping), and replay —
-      // the full batched-issue cycle.
-      states[g].clear();
-      generators[g]->save_state(states[g]);
-      generators[g]->next_batch(rngs[g], now, span);
-      const std::uint64_t* cursor = states[g].data();
-      generators[g]->restore_state(cursor);
-      generators[g]->next_batch(rngs[g], now, span);
+  for (std::size_t g = 0; g < generators.size(); ++g) {
+    Rng rng(g + 1);
+    Tick now = 0;
+    for (std::uint64_t i = 0; i < lengths[g]; ++i) {
+      generators[g]->next(rng, now);
+      now += ticks_from_ns(2.0);
     }
-    now += ticks_from_ns(100.0);
   }
   const std::uint64_t news_after = g_news.load(std::memory_order_relaxed);
   EXPECT_EQ(news_after - news_before, 0u)
-      << "batched access generation allocated in steady state";
+      << "access generation allocated after construction";
 }
 
 TEST(KernelAllocations, FullSystemRunNeverSpillsEventsToHeap) {

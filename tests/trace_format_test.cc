@@ -1,12 +1,11 @@
 // Pins the .altr on-disk trace format and the trace subsystem's
 // contracts: golden bytes (any layout/codec drift fails loudly here, not
 // in a user's trace archive), writer/reader round trips, CRC corruption
-// detection, footer-index random access, and the TraceReplayGenerator's
-// AccessGenerator conformance (draw-identical batching, allocation-free
-// streaming through the issue ring).
+// detection, and the TraceReplayGenerator's AccessGenerator conformance
+// (record-for-record replay with its rng draws, allocation-free streaming
+// across blocks).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -322,41 +321,6 @@ TEST(TraceFormat, WriterReaderRoundTripsAcrossBlocks) {
   std::remove(path.c_str());
 }
 
-TEST(TraceFormat, CursorSeeksToAnyIndex) {
-  const std::string path = temp_path("seek");
-  const std::vector<Record> expected = make_records(1500, 4);
-  {
-    TraceWriter writer(path, /*block_payload_bytes=*/128);
-    TraceThreadMeta t;
-    t.id = 0;
-    t.accesses = expected.size();
-    const std::uint32_t slot = writer.add_thread(t);
-    for (const Record& r : expected) {
-      writer.record(slot, r.access, r.rng_draws);
-    }
-    writer.finish();
-  }
-  auto reader = std::make_shared<TraceReader>(path);
-  TraceCursor cursor(*reader, 0);
-  Rng rng(5);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::uint64_t index = rng.below(expected.size() + 1);
-    cursor.seek(index);
-    EXPECT_EQ(cursor.position(), index);
-    Record r;
-    if (index == expected.size()) {
-      EXPECT_FALSE(cursor.next(r));
-    } else {
-      ASSERT_TRUE(cursor.next(r));
-      EXPECT_EQ(r.access.vaddr, expected[index].access.vaddr)
-          << "seek(" << index << ")";
-      EXPECT_EQ(r.rng_draws, expected[index].rng_draws);
-    }
-  }
-  EXPECT_THROW(cursor.seek(expected.size() + 1), std::out_of_range);
-  std::remove(path.c_str());
-}
-
 TEST(TraceFormat, DetectsCorruption) {
   const std::string path = temp_path("corrupt");
   write_golden(path);
@@ -494,66 +458,24 @@ std::shared_ptr<const TraceReader> single_thread_trace(
   return std::make_shared<const TraceReader>(path);
 }
 
-TEST(TraceReplay, NextBatchIsDrawIdenticalToRepeatedNext) {
-  const std::string path = temp_path("batch");
-  const std::vector<Record> records = make_records(1024, 6);
-  auto reader = single_thread_trace(path, records, 512);
-
-  TraceReplayGenerator serial(reader, 0);
-  TraceReplayGenerator batched(reader, 0);
-  Rng rng_serial(99);
-  Rng rng_batched(99);
-
-  workload::Access batch[17];
-  std::size_t produced = 0;
-  while (produced < records.size()) {
-    const std::size_t want = std::min<std::size_t>(17, records.size() - produced);
-    const Tick horizon = batched.next_batch(
-        rng_batched, 1000, workload::Span<workload::Access>(batch, want));
-    EXPECT_EQ(horizon, kTickNever);
-    for (std::size_t i = 0; i < want; ++i) {
-      const workload::Access expected = serial.next(rng_serial, 1000);
-      ASSERT_EQ(batch[i].vaddr, expected.vaddr) << "access " << produced + i;
-      ASSERT_EQ(batch[i].type, expected.type);
-    }
-    // At every batch boundary the rng streams are in lockstep: both paths
-    // burned the same recorded draw counts.
-    ASSERT_TRUE(rng_serial == rng_batched) << "rng streams diverged";
-    produced += want;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceReplay, SaveStateRestoreStateRewindsExactly) {
-  const std::string path = temp_path("rewind");
+TEST(TraceReplay, NextReplaysEachRecordAndItsDrawsThenThrowsPastTheEnd) {
+  const std::string path = temp_path("replay");
   const std::vector<Record> records = make_records(600, 7);
-  auto reader = single_thread_trace(path, records, 256);
+  auto reader = single_thread_trace(path, records, 256);  // Many blocks.
 
   TraceReplayGenerator gen(reader, 0);
   Rng rng(1);
-  workload::Access first_pass[600];
-  // Consume 250, snapshot, consume the rest, then rewind and re-consume.
-  gen.next_batch(rng, 0, workload::Span<workload::Access>(first_pass, 250));
-  std::vector<std::uint64_t> state;
-  gen.save_state(state);
-  ASSERT_EQ(state.size(), 1u);
-  EXPECT_EQ(state[0], 250u);
-  const Rng rng_at_snapshot = rng;
-  gen.next_batch(rng, 0,
-                 workload::Span<workload::Access>(first_pass + 250, 350));
-
-  const std::uint64_t* cursor = state.data();
-  gen.restore_state(cursor);
-  EXPECT_EQ(cursor, state.data() + 1);
-  Rng rng_replay = rng_at_snapshot;
-  workload::Access second_pass[350];
-  gen.next_batch(rng_replay, 0,
-                 workload::Span<workload::Access>(second_pass, 350));
-  for (std::size_t i = 0; i < 350; ++i) {
-    ASSERT_EQ(second_pass[i].vaddr, first_pass[250 + i].vaddr) << i;
-    ASSERT_EQ(second_pass[i].type, first_pass[250 + i].type) << i;
+  Rng expected_rng(1);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const workload::Access a = gen.next(rng, 0);
+    ASSERT_EQ(a.vaddr, records[i].access.vaddr) << i;
+    ASSERT_EQ(a.type, records[i].access.type) << i;
+    // Each record burns the draws the original generator consumed.
+    for (std::uint32_t d = 0; d < records[i].rng_draws; ++d) {
+      expected_rng.next();
+    }
+    ASSERT_TRUE(rng == expected_rng) << "rng stream diverged at " << i;
   }
-  EXPECT_TRUE(rng_replay == rng);
 
   // Running past the end of the trace is a loud logic error.
   EXPECT_THROW(gen.next(rng, 0), std::logic_error);
@@ -567,41 +489,16 @@ TEST(TraceReplay, SteadyStateStreamingIsAllocationFree) {
 
   TraceReplayGenerator gen(reader, 0);
   Rng rng(2);
-  constexpr std::size_t kRing = 64;
-  workload::Access ring[kRing];
-  const workload::Span<workload::Access> span(ring, kRing);
-  std::vector<std::uint64_t> state;
-  state.reserve(4);
-
-  // Warm-up: one full pass (every block buffer reaches its high-water
-  // capacity), then rewind — the full issue-ring cycle.
-  for (std::size_t done = 0; done < records.size(); done += kRing) {
-    gen.next_batch(rng, 0, span);
-  }
-  const std::uint64_t* cursor0 = nullptr;
-  state.clear();
-  state.push_back(0);
-  cursor0 = state.data();
-  gen.restore_state(cursor0);
+  // Warm-up: the first quarter of the stream spans several blocks, so the
+  // cursor's payload buffer reaches its high-water capacity.
+  const std::size_t warmup = records.size() / 4;
+  for (std::size_t i = 0; i < warmup; ++i) gen.next(rng, 0);
 
   const std::uint64_t news_before = g_news.load(std::memory_order_relaxed);
-  for (int round = 0; round < 3; ++round) {
-    for (std::size_t done = 0; done < records.size(); done += kRing) {
-      state.clear();
-      gen.save_state(state);
-      gen.next_batch(rng, 0, span);
-      const std::uint64_t* cursor = state.data();
-      gen.restore_state(cursor);
-      gen.next_batch(rng, 0, span);
-    }
-    state.clear();
-    state.push_back(0);
-    const std::uint64_t* rewind = state.data();
-    gen.restore_state(rewind);
-  }
+  for (std::size_t i = warmup; i < records.size(); ++i) gen.next(rng, 0);
   const std::uint64_t news_after = g_news.load(std::memory_order_relaxed);
   EXPECT_EQ(news_after - news_before, 0u)
-      << "trace replay allocated on the steady-state issue-ring path";
+      << "trace replay allocated while streaming across blocks";
   std::remove(path.c_str());
 }
 

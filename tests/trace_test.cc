@@ -207,9 +207,10 @@ TEST(TraceCapture, CaptureIsInvisibleAndReplayIsByteIdentical) {
   std::remove(capturing.capture_trace.c_str());
 }
 
-TEST(TraceCapture, JitterFreeReplayGoesThroughTheIssueRing) {
-  // think_jitter = 0: the replay run issues through the batched ring
-  // (capture itself is forced serial), and must still reproduce exactly.
+TEST(TraceCapture, JitterFreeCaptureAndReplayAreByteIdentical) {
+  // think_jitter = 0: no think-time draws interleave with the generators'
+  // draws, so each record's draw count is the generator's alone.  Capture
+  // must still be invisible and replay must still reproduce exactly.
   SystemConfig config;
   core::RunRequest direct;
   direct.config = config;
@@ -217,7 +218,7 @@ TEST(TraceCapture, JitterFreeReplayGoesThroughTheIssueRing) {
   direct.seed = 13;
 
   core::RunRequest capturing = direct;
-  capturing.capture_trace = capture_path("ring");
+  capturing.capture_trace = capture_path("nojitter");
   const core::RunResult a = core::run_request(direct);
   const core::RunResult b = core::run_request(capturing);
   expect_identical(a, b);

@@ -51,158 +51,6 @@ TEST(ZipfGuideTable, SamplingConsumesOneUniformDraw) {
   EXPECT_EQ(a.next(), b.next());  // Same rng position afterwards.
 }
 
-// ------------------------------------------------- next_batch contract ----
-
-/// Pulls `total` accesses through next_batch in `batch` chunks and through
-/// repeated next() with independent-but-identically-seeded rngs; the two
-/// streams (and the rngs afterwards) must match byte for byte.
-void expect_batch_equals_next(AccessGenerator& batched,
-                              AccessGenerator& serial, std::uint64_t seed,
-                              std::size_t total, std::size_t batch,
-                              Tick now = 0) {
-  Rng rng_batch(seed), rng_serial(seed);
-  std::vector<Access> out(batch);
-  std::size_t produced = 0;
-  while (produced < total) {
-    const std::size_t take = std::min(batch, total - produced);
-    batched.next_batch(rng_batch, now, Span<Access>(out.data(), take));
-    for (std::size_t i = 0; i < take; ++i) {
-      const Access expect = serial.next(rng_serial, now);
-      ASSERT_EQ(out[i].vaddr, expect.vaddr) << "access " << produced + i;
-      ASSERT_EQ(out[i].type, expect.type) << "access " << produced + i;
-    }
-    produced += take;
-  }
-  EXPECT_EQ(rng_batch.next(), rng_serial.next())
-      << "batch path consumed a different number of draws";
-}
-
-TEST(NextBatch, SequentialSweepMatchesNext) {
-  SequentialSweep a(0x1000, 64 * kLineBytes, kLineBytes, 0.3);
-  SequentialSweep b(0x1000, 64 * kLineBytes, kLineBytes, 0.3);
-  expect_batch_equals_next(a, b, 11, 1000, 17);
-}
-
-TEST(NextBatch, UniformRandomMatchesNext) {
-  UniformRandom a(0x2000, 256 * kLineBytes, 0.4);
-  UniformRandom b(0x2000, 256 * kLineBytes, 0.4);
-  expect_batch_equals_next(a, b, 12, 1000, 32);
-}
-
-TEST(NextBatch, ZipfPagesMatchesNext) {
-  ZipfPages a(0x3000, 128, 0.9, 0.2);
-  ZipfPages b(0x3000, 128, 0.9, 0.2);
-  expect_batch_equals_next(a, b, 13, 2000, 64);
-}
-
-TEST(NextBatch, ChunkCycleMatchesNext) {
-  ChunkCycle a(0x4000, 4 * kLineBytes, 5, 2, 0.25);
-  ChunkCycle b(0x4000, 4 * kLineBytes, 5, 2, 0.25);
-  // Batch size deliberately misaligned with the 4-access chunk period.
-  expect_batch_equals_next(a, b, 14, 1000, 7);
-}
-
-TEST(NextBatch, CreepingSharedMatchesNext) {
-  CreepingShared a(0x5000, 1024 * kLineBytes, 16, ticks_from_ns(10.0), 0.1);
-  CreepingShared b(0x5000, 1024 * kLineBytes, 16, ticks_from_ns(10.0), 0.1);
-  expect_batch_equals_next(a, b, 15, 1000, 64, ticks_from_ns(12345.0));
-}
-
-std::unique_ptr<Phased> make_test_phased() {
-  auto phased = std::make_unique<Phased>();
-  phased->add_stage(10, std::make_unique<SequentialSweep>(
-                            0x1000, 16 * kLineBytes, kLineBytes, 0.0));
-  phased->add_stage(7, std::make_unique<UniformRandom>(
-                           0x8000, 32 * kLineBytes, 0.5));
-  phased->add_stage(5, std::make_unique<ChunkCycle>(0x20000, 2 * kLineBytes,
-                                                    3, 1, 0.2));
-  auto tail = std::make_unique<Mix>();
-  tail->add(0.6, std::make_unique<SequentialSweep>(0x40000, 8 * kLineBytes,
-                                                   kLineBytes, 0.3));
-  tail->add(0.4, std::make_unique<CreepingShared>(
-                     0x80000, 512 * kLineBytes, 8, ticks_from_ns(5.0), 0.0));
-  phased->set_tail(std::move(tail));
-  return phased;
-}
-
-TEST(NextBatch, PhasedMatchesNextAcrossStageBoundaries) {
-  // Batch size 8 never divides the 10/7/5 stage lengths, so every stage
-  // boundary lands mid-batch — the splitting path under test.
-  auto a = make_test_phased();
-  auto b = make_test_phased();
-  expect_batch_equals_next(*a, *b, 16, 500, 8, ticks_from_ns(99.0));
-}
-
-TEST(NextBatch, MixMatchesNext) {
-  const auto make = [] {
-    auto mix = std::make_unique<Mix>();
-    mix->add(0.5, std::make_unique<SequentialSweep>(0x1000, 8 * kLineBytes,
-                                                    kLineBytes, 0.2));
-    mix->add(0.3, std::make_unique<ZipfPages>(0x100000, 64, 0.9, 0.4));
-    mix->add(0.2, std::make_unique<CreepingShared>(
-                      0x200000, 256 * kLineBytes, 8, ticks_from_ns(10.0),
-                      0.0));
-    return mix;
-  };
-  auto a = make();
-  auto b = make();
-  expect_batch_equals_next(*a, *b, 17, 2000, 16, ticks_from_ns(77.0));
-}
-
-TEST(NextBatch, FullProfileGeneratorMatchesNext) {
-  // End to end: the exact generator tree the simulator issues from,
-  // including the warm-up Phased prefix and the steady-state mixture.
-  SystemConfig config;
-  const WorkloadSpec spec = make_benchmark("ocean-cont", config, 200);
-  auto a = spec.threads[3].make_generator();
-  auto b = spec.threads[3].make_generator();
-  expect_batch_equals_next(*a, *b, 18, 3000, 64, ticks_from_ns(500.0));
-}
-
-TEST(NextBatch, SaveRestoreReplaysIdentically) {
-  // The System issue ring's staleness replay: snapshot rng + generator
-  // position, generate, rewind, regenerate — the two passes must agree.
-  auto gen = make_test_phased();
-  Rng rng(21);
-  std::vector<std::uint64_t> state;
-  // Consume a prefix so the snapshot is taken mid-stream.
-  std::vector<Access> scratch(13);
-  gen->next_batch(rng, 0, Span<Access>(scratch.data(), scratch.size()));
-
-  const Rng rng_snapshot = rng;
-  gen->save_state(state);
-
-  std::vector<Access> first(64), second(64);
-  gen->next_batch(rng, ticks_from_ns(40.0),
-                  Span<Access>(first.data(), first.size()));
-
-  rng = rng_snapshot;
-  const std::uint64_t* cursor = state.data();
-  gen->restore_state(cursor);
-  gen->next_batch(rng, ticks_from_ns(40.0),
-                  Span<Access>(second.data(), second.size()));
-
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].vaddr, second[i].vaddr) << i;
-    EXPECT_EQ(first[i].type, second[i].type) << i;
-  }
-}
-
-TEST(NextBatch, ValidityHorizonReflectsTimeDependence) {
-  SequentialSweep sweep(0, 4 * kLineBytes, kLineBytes, 0.0);
-  EXPECT_EQ(sweep.validity_horizon(123), kTickNever);
-
-  CreepingShared creep(0, 1024 * kLineBytes, 4, 1000, 0.0);
-  EXPECT_EQ(creep.validity_horizon(0), 1000u);
-  EXPECT_EQ(creep.validity_horizon(999), 1000u);
-  EXPECT_EQ(creep.validity_horizon(1000), 2000u);
-
-  Rng rng(1);
-  Access out[4];
-  EXPECT_EQ(creep.next_batch(rng, 1500, Span<Access>(out, 4)), 2000u);
-  EXPECT_EQ(sweep.next_batch(rng, 1500, Span<Access>(out, 4)), kTickNever);
-}
-
 TEST(SequentialSweep, WrapsAndStrides) {
   SequentialSweep gen(0x1000, 4 * kLineBytes, kLineBytes, 0.0);
   Rng rng(1);
