@@ -5,7 +5,7 @@
 //
 //   serial        - one thread streaming through its private working set
 //                   (the sparse-schedule case: long idle gaps between
-//                   events, exercises the far-horizon overflow heap);
+//                   events, few of them pending at once);
 //   multithreaded - the 16-thread `ocean` profile (dense event interleaving
 //                   across all nodes, the sweep runner's common case);
 //   migration     - the same profile with periodic thread migration (adds

@@ -35,11 +35,15 @@
 
 #include "common/failpoint.hh"
 #include "common/fileio.hh"
+#include "common/parse.hh"
 #include "obs/timeline.hh"
 #include "service/service.hh"
 #include "service/spool.hh"
 
 namespace {
+
+using allarm::parse_u32;
+using allarm::parse_u64;
 
 // Signal handlers may only touch lock-free atomics; the service loop polls
 // this between (never inside) I/O steps.
@@ -53,18 +57,6 @@ void usage(std::ostream& out) {
          "                    [--exit-when-idle] [--failpoints SPEC]\n"
          "                    [--timeline FILE]\n"
          "       allarm_serve --root DIR --enqueue FILE --as NAME\n";
-}
-
-std::uint64_t parse_u64(const char* flag, const std::string& text) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long parsed = std::stoull(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string(flag) + ": expected a number, got '" +
-                                text + "'");
-  }
 }
 
 }  // namespace
@@ -89,16 +81,16 @@ int main(int argc, char** argv) {
       if (std::strcmp(arg, "--root") == 0) {
         config.root = value(i);
       } else if (std::strcmp(arg, "--workers") == 0) {
-        config.workers = static_cast<std::uint32_t>(parse_u64(arg, value(i)));
+        config.workers = parse_u32(arg, value(i));
       } else if (std::strcmp(arg, "--max-active") == 0) {
-        config.max_active = static_cast<std::uint32_t>(parse_u64(arg, value(i)));
+        config.max_active = parse_u32(arg, value(i));
         if (config.max_active == 0) {
           throw std::invalid_argument("--max-active must be at least 1");
         }
       } else if (std::strcmp(arg, "--max-cells") == 0) {
         config.max_cells = parse_u64(arg, value(i));
       } else if (std::strcmp(arg, "--poll-ms") == 0) {
-        config.poll_ms = static_cast<std::uint32_t>(parse_u64(arg, value(i)));
+        config.poll_ms = parse_u32(arg, value(i));
         if (config.poll_ms == 0) config.poll_ms = 1;
       } else if (std::strcmp(arg, "--drain-ms") == 0) {
         config.drain_deadline_ms = parse_u64(arg, value(i));

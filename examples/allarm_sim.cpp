@@ -24,9 +24,11 @@
 #include <cstring>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "common/config.hh"
+#include "common/parse.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
 #include "core/system.hh"
@@ -79,14 +81,14 @@ Options parse(int argc, char** argv) {
     else if (a == "--multiprocess") o.multiprocess = true;
     else if (a == "--trace") o.trace = value(i);
     else if (a == "--mode") o.mode = value(i);
-    else if (a == "--accesses") o.accesses = std::strtoull(value(i), nullptr, 10);
-    else if (a == "--pf-kb") o.pf_kb = std::strtoul(value(i), nullptr, 10);
-    else if (a == "--pf-ways") o.pf_ways = std::strtoul(value(i), nullptr, 10);
+    else if (a == "--accesses") o.accesses = parse_u64(a, value(i));
+    else if (a == "--pf-kb") o.pf_kb = parse_u32(a, value(i));
+    else if (a == "--pf-ways") o.pf_ways = parse_u32(a, value(i));
     else if (a == "--policy") o.policy = value(i);
     else if (a == "--eviction-buffer") o.eviction_buffer = true;
     else if (a == "--serial-probe") o.serial_probe = false, o.serial_probe = true;
-    else if (a == "--migrate-us") o.migrate_us = std::strtoul(value(i), nullptr, 10);
-    else if (a == "--seed") o.seed = std::strtoull(value(i), nullptr, 10);
+    else if (a == "--migrate-us") o.migrate_us = parse_u32(a, value(i));
+    else if (a == "--seed") o.seed = parse_u64(a, value(i));
     else if (a == "--full-stats") o.full_stats = true;
     else if (a == "--profile") o.profile = true;
     else if (a == "--timeline") o.timeline = value(i);
@@ -158,7 +160,13 @@ void print_run(const std::string& label, const core::RunResult& r,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
+  Options o;
+  try {
+    o = parse(argc, argv);
+  } catch (const std::invalid_argument& e) {  // A malformed number.
+    std::cerr << e.what() << '\n';
+    usage(2);
+  }
   if (!o.timeline.empty()) obs::Timeline::enable();
 
   SystemConfig config;

@@ -3,12 +3,14 @@
 //
 //   ./quickstart [benchmark] [accesses-per-thread]
 //
-// Defaults: ocean-cont, 20000 accesses per thread.
-#include <cstdlib>
+// Defaults: ocean-cont, 20000 accesses per thread.  A malformed count or
+// an unknown benchmark name is a usage error (exit 2).
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "common/config.hh"
+#include "common/parse.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
 #include "workload/profiles.hh"
@@ -17,12 +19,16 @@ int main(int argc, char** argv) {
   using namespace allarm;
 
   const std::string bench = argc > 1 ? argv[1] : "ocean-cont";
-  const std::uint64_t accesses = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                          : 20000;
-
   SystemConfig config;  // Table I defaults: 16 cores, 4x4 mesh, 512kB PF.
-  const workload::WorkloadSpec spec =
-      workload::make_benchmark(bench, config, accesses);
+  std::uint64_t accesses = 20000;
+  workload::WorkloadSpec spec;
+  try {
+    if (argc > 2) accesses = parse_u64("accesses-per-thread", argv[2]);
+    spec = workload::make_benchmark(bench, config, accesses);
+  } catch (const std::logic_error& e) {  // invalid_argument, out_of_range.
+    std::cerr << "quickstart: " << e.what() << '\n';
+    return 2;
+  }
 
   std::cout << "Running '" << bench << "' (" << accesses
             << " accesses/thread) on a " << config.mesh_width << "x"

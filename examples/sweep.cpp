@@ -113,6 +113,7 @@
 #include "common/config.hh"
 #include "common/failpoint.hh"
 #include "common/fileio.hh"
+#include "common/parse.hh"
 #include "core/experiment.hh"
 #include "obs/timeline.hh"
 #include "runner/grids.hh"
@@ -272,17 +273,14 @@ runner::SweepSpec make_grid(const Options& options) {
   return spec;
 }
 
-runner::ShardSpec parse_shard(const char* text) {
+runner::ShardSpec parse_shard(const std::string& text) {
   runner::ShardSpec shard;
-  char* end = nullptr;
-  shard.index = static_cast<std::uint32_t>(std::strtoul(text, &end, 10));
-  if (end == text || *end != '/') {
-    std::cerr << "--shard wants K/N, got '" << text << "'\n";
-    usage(2);
-  }
-  const char* count_text = end + 1;
-  shard.count = static_cast<std::uint32_t>(std::strtoul(count_text, &end, 10));
-  if (end == count_text || *end != '\0') {
+  const std::size_t slash = text.find('/');
+  try {
+    if (slash == std::string::npos) throw std::invalid_argument(text);
+    shard.index = parse_u32("--shard", text.substr(0, slash));
+    shard.count = parse_u32("--shard", text.substr(slash + 1));
+  } catch (const std::invalid_argument&) {
     std::cerr << "--shard wants K/N, got '" << text << "'\n";
     usage(2);
   }
@@ -306,13 +304,13 @@ Options parse(int argc, char** argv) {
     if (std::strcmp(arg, "--grid") == 0) {
       options.grid = value(i);
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      options.jobs = static_cast<std::uint32_t>(std::strtoul(value(i), nullptr, 10));
+      options.jobs = parse_u32(arg, value(i));
     } else if (std::strcmp(arg, "--seeds") == 0) {
-      options.seeds = static_cast<std::uint32_t>(std::strtoul(value(i), nullptr, 10));
+      options.seeds = parse_u32(arg, value(i));
     } else if (std::strcmp(arg, "--accesses") == 0) {
-      options.accesses = std::strtoull(value(i), nullptr, 10);
+      options.accesses = parse_u64(arg, value(i));
     } else if (std::strcmp(arg, "--seed") == 0) {
-      options.seed = std::strtoull(value(i), nullptr, 10);
+      options.seed = parse_u64(arg, value(i));
     } else if (std::strcmp(arg, "--out") == 0) {
       options.out = value(i);
     } else if (std::strcmp(arg, "--csv") == 0) {
@@ -330,7 +328,7 @@ Options parse(int argc, char** argv) {
     } else if (std::strcmp(arg, "--merge") == 0) {
       options.merge.push_back(value(i));
     } else if (std::strcmp(arg, "--window") == 0) {
-      options.window = std::strtoull(value(i), nullptr, 10);
+      options.window = parse_u64(arg, value(i));
     } else if (std::strcmp(arg, "--timing") == 0) {
       options.timing = true;
     } else if (std::strcmp(arg, "--profile") == 0) {
@@ -349,8 +347,8 @@ Options parse(int argc, char** argv) {
       while (pos <= list.size()) {
         const std::size_t comma = list.find(',', pos);
         const std::size_t end = comma == std::string::npos ? list.size() : comma;
-        const auto cores = static_cast<std::uint32_t>(
-            std::strtoul(list.substr(pos, end - pos).c_str(), nullptr, 10));
+        const std::uint32_t cores =
+            parse_u32(arg, list.substr(pos, end - pos));
         if (cores == 0) {
           std::cerr << "--cores wants a comma-separated list of positive "
                        "counts, got '" << list << "'\n";
@@ -361,15 +359,16 @@ Options parse(int argc, char** argv) {
         pos = comma + 1;
       }
     } else if (std::strcmp(arg, "--cell-retries") == 0) {
-      options.cell_retries =
-          static_cast<std::uint32_t>(std::strtoul(value(i), nullptr, 10));
+      options.cell_retries = parse_u32(arg, value(i));
     } else if (std::strcmp(arg, "--cell-backoff-ms") == 0) {
-      options.cell_backoff_ms =
-          static_cast<std::uint32_t>(std::strtoul(value(i), nullptr, 10));
+      options.cell_backoff_ms = parse_u32(arg, value(i));
     } else if (std::strcmp(arg, "--cell-timeout") == 0) {
-      options.cell_timeout_s = std::strtod(value(i), nullptr);
-      if (options.cell_timeout_s <= 0.0) {
-        std::cerr << "--cell-timeout wants a positive number of seconds\n";
+      const char* text = value(i);
+      char* end = nullptr;
+      options.cell_timeout_s = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !(options.cell_timeout_s > 0.0)) {
+        std::cerr << "--cell-timeout wants a positive number of seconds, got '"
+                  << text << "'\n";
         usage(2);
       }
     } else if (std::strcmp(arg, "--quarantine") == 0) {
@@ -469,7 +468,13 @@ void finish_reports(runner::ReportFiles& reports, const Options& options) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const Options options = parse(argc, argv);
+  Options options;
+  try {
+    options = parse(argc, argv);
+  } catch (const std::invalid_argument& e) {  // A malformed number.
+    std::cerr << e.what() << "\n";
+    usage(2);
+  }
   // Arm the span recorder before any instrumented work (worker threads
   // check the flag once per span; disabled recording is a relaxed load).
   if (!options.timeline.empty()) obs::Timeline::enable();

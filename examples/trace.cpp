@@ -54,6 +54,7 @@
 
 #include "common/config.hh"
 #include "common/failpoint.hh"
+#include "common/parse.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
 #include "trace/convert.hh"
@@ -111,15 +112,14 @@ Options parse(int argc, char** argv) {
     } else if (std::strcmp(arg, "--policy") == 0) {
       o.policy = value(i);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      o.seed = std::strtoull(value(i), nullptr, 10);
+      o.seed = parse_u64(arg, value(i));
       o.seed_set = true;
     } else if (std::strcmp(arg, "--accesses") == 0) {
-      o.accesses = std::strtoull(value(i), nullptr, 10);
+      o.accesses = parse_u64(arg, value(i));
     } else if (std::strcmp(arg, "--cores") == 0) {
-      o.cores = static_cast<std::uint32_t>(
-          std::strtoul(value(i), nullptr, 10));
+      o.cores = parse_u32(arg, value(i));
     } else if (std::strcmp(arg, "--limit") == 0) {
-      o.limit = std::strtoull(value(i), nullptr, 10);
+      o.limit = parse_u64(arg, value(i));
     } else if (std::strcmp(arg, "--json") == 0) {
       o.json = true;
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
@@ -361,7 +361,13 @@ int main(int argc, char** argv) try {
   if (!failpoints.empty()) {
     std::cerr << "failpoints active: " << failpoints << "\n";
   }
-  const Options options = parse(argc, argv);
+  Options options;
+  try {
+    options = parse(argc, argv);
+  } catch (const std::invalid_argument& e) {  // A malformed number.
+    std::cerr << e.what() << "\n";
+    usage(2);
+  }
   if (options.command == "record") return cmd_record(options);
   if (options.command == "info") return cmd_info(options);
   if (options.command == "cat") return cmd_cat(options);

@@ -27,13 +27,13 @@ class Event {
   /// Inline capture budget.  Sized so the common coherence closures -- a
   /// `this` pointer plus pooled-transaction-state pointer, or `this` plus a
   /// by-value Request and a word of flags -- fit without touching the heap,
-  /// while one event-queue arena node (tick + link + Event) is exactly one
-  /// 64-byte cache line.
+  /// while one event-queue arena node (Event + free-list link, 56 bytes)
+  /// stays smaller than a 64-byte cache line.
   static constexpr std::size_t kInlineBytes = 40;
 
   /// Inline storage alignment.  Word alignment keeps sizeof(Event) at 48
-  /// (a max_align_t buffer would pad it to 64 and push the arena node
-  /// across two cache lines); over-aligned callables take the counted heap
+  /// (a max_align_t buffer would pad it to 64 and grow every arena node
+  /// past a cache line); over-aligned callables take the counted heap
   /// fallback.
   static constexpr std::size_t kInlineAlign = alignof(void*);
 

@@ -2,10 +2,10 @@
 // "<tid> <L|S|I> <hex-addr>" line format and converters between it and
 // the binary .altr format.
 //
-// The scanner is the one implementation of the text grammar; the legacy
-// whole-file parser (workload::parse_trace) and the streaming converter
-// both sit on top of it, so the accepted language — comments, blank
-// lines, error messages with line numbers — cannot drift apart.
+// The scanner is the one implementation of the text grammar; the
+// streaming converter behind workload::load_trace_workload sits on top of
+// it, so the accepted language — comments, blank lines, error messages
+// with line numbers — is defined in one place.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,8 @@ struct TextRecord {
 };
 
 /// Formats one record as a text-trace line ("<tid> <L|S|I> <hex-addr>\n").
-/// The one implementation of the output grammar: workload::write_trace and
-/// write_text_trace below both emit through it.
+/// The one implementation of the output grammar: write_text_trace below
+/// emits through it.
 void write_text_record(std::ostream& out, ThreadId thread,
                        const workload::Access& access);
 

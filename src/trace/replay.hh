@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "common/config.hh"
 #include "trace/reader.hh"
@@ -45,10 +44,5 @@ class TraceReplayGenerator final : public workload::AccessGenerator {
 workload::WorkloadSpec make_replay_workload(
     std::shared_ptr<const TraceReader> reader, const SystemConfig& config,
     std::uint32_t cores = 0);
-
-/// Convenience: open `path` and build its replay workload.
-workload::WorkloadSpec load_replay_workload(const std::string& path,
-                                            const SystemConfig& config,
-                                            std::uint32_t cores = 0);
 
 }  // namespace allarm::trace

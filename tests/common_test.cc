@@ -1,11 +1,12 @@
 // Unit tests for the common library: types, configuration, RNG,
-// statistics, checksums and file I/O.
+// statistics, checksums, file I/O and numeric flag parsing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "common/config.hh"
 #include "common/fileio.hh"
 #include "common/log.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -510,6 +512,36 @@ TEST(TextTable, AlignsColumns) {
   EXPECT_NE(out.find("name"), std::string::npos);
   EXPECT_NE(out.find("longer-name"), std::string::npos);
   EXPECT_EQ(TextTable::fmt(1.23456, 2), "1.23");
+}
+
+// ----------------------------------------------------------------- parse ----
+
+TEST(ParseU64, AcceptsPlainDecimal) {
+  EXPECT_EQ(parse_u64("--n", "0"), 0u);
+  EXPECT_EQ(parse_u64("--n", "30000"), 30000u);
+  EXPECT_EQ(parse_u64("--n", "007"), 7u);
+  EXPECT_EQ(parse_u64("--n", "18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_u64("--n", "4294967295", UINT32_MAX), UINT32_MAX);
+  EXPECT_EQ(parse_u32("--n", "4294967295"), UINT32_MAX);
+  EXPECT_EQ(parse_u64("--n", "5", 5), 5u);
+}
+
+TEST(ParseU64, RejectsAnythingElseWithTheFlagInTheMessage) {
+  for (const char* bad : {"", "abc", "-1", "+1", " 1", "1 ", "1x", "0x10",
+                          "1e3", "18446744073709551616"}) {
+    EXPECT_THROW(parse_u64("--accesses", bad), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW(parse_u64("--jobs", "4294967296", UINT32_MAX),
+               std::invalid_argument);
+  EXPECT_THROW(parse_u32("--jobs", "4294967296"), std::invalid_argument);
+  EXPECT_THROW(parse_u64("--n", "9", 5), std::invalid_argument);
+  EXPECT_THROW(parse_u64("--n", "60", 59), std::invalid_argument);
+  try {
+    parse_u64("--accesses", "abc");
+    FAIL() << "accepted 'abc'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--accesses: expected a number, got 'abc'");
+  }
 }
 
 }  // namespace

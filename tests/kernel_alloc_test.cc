@@ -3,8 +3,8 @@
 // Overrides global operator new/delete with counting wrappers and asserts
 // the tentpole property of the allocation-free kernel: once warmed up,
 // scheduling and executing events whose closures fit sim::Event's inline
-// buffer performs ZERO heap allocations -- the node arena, the far heap
-// and the buckets all recycle their capacity.
+// buffer performs ZERO heap allocations -- the node arena and the heap of
+// references both recycle their capacity.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -53,7 +53,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace allarm::sim {
 namespace {
 
-constexpr Tick kFarDelay = 1u << 20;  // Beyond the near horizon.
+constexpr Tick kFarDelay = 1u << 20;  // Far beyond any coherence hop.
 
 // A self-rescheduling ticker with a representative capture footprint (the
 // coherence closures carry a `this` plus a few words): fits inline.
@@ -73,9 +73,9 @@ static_assert(sizeof(Ticker) <= Event::kInlineBytes,
 TEST(KernelAllocations, SteadyStateSchedulesWithoutHeapAllocations) {
   EventQueue eq;
 
-  // Warm-up: reach the arena / heap / bucket high-water mark.  Several
-  // concurrent near tickers plus far-horizon tickers so both tiers and the
-  // far heap see their peak occupancy before measurement starts.
+  // Warm-up: reach the arena / heap high-water mark.  Several concurrent
+  // short-delay tickers plus long-delay ones, so both the arena and the
+  // heap see their peak occupancy before measurement starts.
   for (std::uint64_t i = 0; i < 16; ++i) {
     eq.schedule_in(i + 1, Ticker{&eq, {i * 977, i, ~i}, 20000});
   }
@@ -101,7 +101,7 @@ TEST(KernelAllocations, SteadyStateSchedulesWithoutHeapAllocations) {
 TEST(KernelAllocations, FarHorizonSteadyStateIsAllocationFree) {
   EventQueue eq;
 
-  // Every reschedule crosses the far heap.
+  // Every reschedule lands a million ticks ahead of now().
   struct FarTicker {
     EventQueue* eq;
     std::uint64_t limit;
@@ -117,7 +117,7 @@ TEST(KernelAllocations, FarHorizonSteadyStateIsAllocationFree) {
   const std::uint64_t news_after = g_news.load(std::memory_order_relaxed);
   EXPECT_EQ(executed, 2000u);
   EXPECT_EQ(news_after - news_before, 0u)
-      << "far-heap traffic allocated in steady state";
+      << "long-delay traffic allocated in steady state";
 }
 
 TEST(KernelAllocations, SteadyStateGenerationIsAllocationFree) {

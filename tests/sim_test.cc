@@ -1,7 +1,9 @@
 // Unit tests for the discrete-event kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -122,35 +124,32 @@ TEST(EventQueue, LargeVolumeKeepsOrder) {
   EXPECT_TRUE(monotone);
 }
 
-// The near horizon is 2^17 ticks: anything beyond now() + 131072 overflows
-// into the far heap.  These tests pin the near/far split and, crucially,
-// that (tick, insertion-order) FIFO survives migration between the two.
+// Schedules that reach far ahead of now() (over a million ticks, well past
+// any single coherence hop): order must stay exact (tick, insertion order)
+// however long an event waits and whatever is scheduled in between.
 
-constexpr Tick kFar = 1u << 20;  // Safely beyond the near horizon.
+constexpr Tick kFar = 1u << 20;
 
-TEST(EventQueue, FarEventsAreHeapedThenExecuted) {
+TEST(EventQueue, DistantEventsExecuteAfterNearOnes) {
   EventQueue eq;
   std::vector<int> order;
   eq.schedule_at(kFar, [&] { order.push_back(2); });
   eq.schedule_at(10, [&] { order.push_back(1); });
-  EXPECT_EQ(eq.far_pending(), 1u);
   EXPECT_EQ(eq.pending(), 2u);
   eq.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(eq.now(), kFar);
-  EXPECT_EQ(eq.far_pending(), 0u);
+  EXPECT_EQ(eq.pending(), 0u);
 }
 
-TEST(EventQueue, SameTickFifoSurvivesFarMigration) {
-  // a and b overflow into the far heap (scheduled while the window is far
-  // below kFar); c is scheduled for the same tick later, after the window
-  // has advanced enough that kFar is within the near horizon -- so c is a
-  // direct bucket insert after a and b migrated.  FIFO demands a, b, c.
+TEST(EventQueue, SameTickFifoHoldsForLateInserts) {
+  // a and b are scheduled for kFar while now() is far below it; c is
+  // scheduled for the same tick much later, from an event that runs just
+  // before kFar.  FIFO demands a, b, c.
   EventQueue eq;
   std::vector<char> order;
   eq.schedule_at(kFar, [&] { order.push_back('a'); });
   eq.schedule_at(kFar, [&] { order.push_back('b'); });
-  EXPECT_EQ(eq.far_pending(), 2u);
   eq.schedule_at(kFar - 1000, [&] {
     eq.schedule_at(kFar, [&] { order.push_back('c'); });
   });
@@ -158,7 +157,7 @@ TEST(EventQueue, SameTickFifoSurvivesFarMigration) {
   EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c'}));
 }
 
-TEST(EventQueue, FarEventsExecuteInTickSeqOrder) {
+TEST(EventQueue, DistantEventsExecuteInTickSeqOrder) {
   EventQueue eq;
   std::vector<int> order;
   const Tick ticks[] = {kFar + 7, kFar + 3, kFar + 7, kFar + 1, kFar + 3};
@@ -170,7 +169,7 @@ TEST(EventQueue, FarEventsExecuteInTickSeqOrder) {
   EXPECT_EQ(order, (std::vector<int>{3, 1, 4, 0, 2}));
 }
 
-TEST(EventQueue, RunUntilIncludesFarBoundary) {
+TEST(EventQueue, RunUntilIncludesDistantBoundary) {
   EventQueue eq;
   int fired = 0;
   eq.schedule_at(kFar, [&] { ++fired; });
@@ -199,8 +198,8 @@ TEST(EventQueue, SchedulingAfterIdleRunUntilKeepsOrder) {
   EXPECT_EQ(eq.now(), 1000u);
 }
 
-TEST(EventQueue, SchedulingAfterIdleRunUntilKeepsOrderAcrossHorizon) {
-  // Same regression with the pending event in the far heap.
+TEST(EventQueue, SchedulingAfterIdleRunUntilKeepsOrderForDistantEvent) {
+  // Same regression with the pending event far ahead of `until`.
   EventQueue eq;
   std::vector<Tick> fired;
   eq.schedule_at(kFar, [&] { fired.push_back(eq.now()); });
@@ -210,7 +209,7 @@ TEST(EventQueue, SchedulingAfterIdleRunUntilKeepsOrderAcrossHorizon) {
   EXPECT_EQ(fired, (std::vector<Tick>{600, kFar}));
 }
 
-TEST(EventQueue, ClearDiscardsNearAndFarAndQueueStaysUsable) {
+TEST(EventQueue, ClearDiscardsNearAndDistantAndQueueStaysUsable) {
   EventQueue eq;
   int fired = 0;
   eq.schedule_at(5, [&] { ++fired; });
@@ -227,13 +226,13 @@ TEST(EventQueue, ClearDiscardsNearAndFarAndQueueStaysUsable) {
   EXPECT_EQ(eq.now(), kFar + 9);
 }
 
-TEST(EventQueue, LargeVolumeAcrossHorizonKeepsOrder) {
+TEST(EventQueue, LargeVolumeWideSpreadKeepsOrder) {
   EventQueue eq;
   Tick last = 0;
   bool monotone = true;
   std::uint64_t fired = 0;
   for (int i = 0; i < 20000; ++i) {
-    // Spread ticks across several near-window spans.
+    // Spread ticks over a million-tick span.
     eq.schedule_at(static_cast<Tick>((i * 7919) % 1000000), [&] {
       monotone = monotone && eq.now() >= last;
       last = eq.now();
@@ -243,6 +242,125 @@ TEST(EventQueue, LargeVolumeAcrossHorizonKeepsOrder) {
   eq.run();
   EXPECT_TRUE(monotone);
   EXPECT_EQ(fired, 20000u);
+}
+
+// Differential check against the definition of the kernel's order.  A
+// correct queue executes events in strictly increasing (tick, seq) order:
+// an event pending when another runs compares later by the heap's key, and
+// one scheduled afterwards has a larger seq and a tick >= now().  So the
+// executed sequence must equal the stable sort by tick of everything
+// scheduled (minus what clear() discarded).  About 100k schedules mix heavy
+// same-tick ties, distant ticks, events that schedule events, and
+// run/run_until/clear between bursts.
+class RandomSchedule {
+ public:
+  void run() {
+    while (budget_ > 0) {
+      const unsigned op = rng_() % 64;
+      if (op < 40) {
+        for (unsigned n = 1 + rng_() % 32; n > 0 && budget_ > 0; --n) {
+          schedule(eq_.now() + delay());
+        }
+      } else if (op < 52) {
+        eq_.run(rng_() % 64);
+        EXPECT_EQ(eq_.pending(), model_pending());
+      } else if (op < 62) {
+        check_run_until(eq_.now() + delay());
+      } else {
+        eq_.clear();
+        for (std::uint64_t id = 0; id < scheduled_.size(); ++id) {
+          if (!done_[id]) done_[id] = discarded_[id] = 1;
+        }
+        EXPECT_EQ(eq_.pending(), 0u);
+      }
+    }
+    eq_.run();
+
+    std::vector<std::uint64_t> expected;
+    for (std::uint64_t id = 0; id < scheduled_.size(); ++id) {
+      if (!discarded_[id]) expected.push_back(id);
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [this](std::uint64_t a, std::uint64_t b) {
+                       return scheduled_[a] < scheduled_[b];
+                     });
+    EXPECT_GE(scheduled_.size(), 100000u);
+    EXPECT_EQ(executed_, expected);
+    EXPECT_EQ(eq_.events_executed(), executed_.size());
+    EXPECT_EQ(clock_errors_, 0u);
+  }
+
+ private:
+  /// Delays skewed toward ties: most land on a tick that already has
+  /// events pending, a few far ahead.
+  Tick delay() {
+    switch (rng_() % 8) {
+      case 0:
+      case 1:
+      case 2:
+        return 0;
+      case 3:
+      case 4:
+        return rng_() % 4;
+      case 5:
+        return rng_() % 64;
+      case 6:
+        return rng_() % 4096;
+      default:
+        return rng_() % (Tick{1} << 22);
+    }
+  }
+
+  void schedule(Tick when) {
+    const std::uint64_t id = scheduled_.size();
+    scheduled_.push_back(when);
+    done_.push_back(0);
+    discarded_.push_back(0);
+    --budget_;
+    eq_.schedule_at(when, [this, id] { fire(id); });
+  }
+
+  void fire(std::uint64_t id) {
+    if (eq_.now() != scheduled_[id] || done_[id]) ++clock_errors_;
+    done_[id] = 1;
+    executed_.push_back(id);
+    for (unsigned kids = rng_() % 3; kids > 0 && budget_ > 0; --kids) {
+      schedule(eq_.now() + delay());
+    }
+  }
+
+  void check_run_until(Tick until) {
+    const Tick before = eq_.now();
+    const std::size_t first = executed_.size();
+    eq_.run_until(until);
+    EXPECT_EQ(eq_.now(), std::max(before, until));
+    for (std::size_t i = first; i < executed_.size(); ++i) {
+      if (scheduled_[executed_[i]] > until) ++clock_errors_;
+    }
+    for (std::uint64_t id = 0; id < scheduled_.size(); ++id) {
+      if (!done_[id] && scheduled_[id] <= until) ++clock_errors_;
+    }
+    EXPECT_EQ(eq_.pending(), model_pending());
+  }
+
+  /// Events neither executed nor discarded.
+  std::size_t model_pending() const {
+    return static_cast<std::size_t>(
+        std::count(done_.begin(), done_.end(), char{0}));
+  }
+
+  EventQueue eq_;
+  std::mt19937_64 rng_{0x5eedf00d};
+  std::uint64_t budget_ = 100000;
+  std::vector<Tick> scheduled_;      ///< Tick per id; id = schedule order.
+  std::vector<char> done_;           ///< Executed or discarded, per id.
+  std::vector<char> discarded_;      ///< Dropped by clear(), per id.
+  std::vector<std::uint64_t> executed_;
+  std::uint64_t clock_errors_ = 0;
+};
+
+TEST(EventQueue, MatchesStableSortOnRandomSchedules) {
+  RandomSchedule().run();
 }
 
 TEST(Event, HoldsNonTriviallyCopyableCallables) {

@@ -1,13 +1,17 @@
-// Unit and integration tests for trace-file workloads: the legacy text
-// format (now streamed through the binary .altr subsystem) and
-// capture/replay round trips through core::System.
+// Unit and integration tests for trace-file workloads: the text format
+// (scanned by trace::TextTraceScanner and streamed through the binary
+// .altr subsystem by load_trace_workload) and capture/replay round trips
+// through core::System.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/experiment.hh"
+#include "trace/convert.hh"
 #include "trace/reader.hh"
 #include "workload/profiles.hh"
 #include "workload/trace.hh"
@@ -15,14 +19,39 @@
 namespace allarm::workload {
 namespace {
 
+std::vector<trace::TextRecord> scan(const std::string& text) {
+  std::istringstream in(text);
+  trace::TextTraceScanner scanner(in);
+  std::vector<trace::TextRecord> records;
+  trace::TextRecord record;
+  while (scanner.next(record)) records.push_back(record);
+  return records;
+}
+
+/// Writes `text` to a fresh file under the test temp directory.
+class TextTraceFile {
+ public:
+  TextTraceFile(const char* name, const std::string& text)
+      : path_(testing::TempDir() + "/allarm_trace_" + name + ".txt") {
+    std::ofstream(path_) << text;
+  }
+  ~TextTraceFile() { std::remove(path_.c_str()); }
+  TextTraceFile(const TextTraceFile&) = delete;
+  TextTraceFile& operator=(const TextTraceFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 TEST(TraceParse, ParsesWellFormedLines) {
-  std::istringstream in(
+  const auto records = scan(
       "# a comment\n"
       "0 L 40000000\n"
       "1 S 40000040\n"
       "\n"
       "0 I deadbeef  # trailing comment\n");
-  const auto records = parse_trace(in);
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].thread, 0u);
   EXPECT_EQ(records[0].access.type, AccessType::kLoad);
@@ -33,26 +62,26 @@ TEST(TraceParse, ParsesWellFormedLines) {
 }
 
 TEST(TraceParse, AcceptsLowercaseTypes) {
-  std::istringstream in("0 l 10\n0 s 20\n0 i 30\n");
-  EXPECT_EQ(parse_trace(in).size(), 3u);
+  EXPECT_EQ(scan("0 l 10\n0 s 20\n0 i 30\n").size(), 3u);
 }
 
 TEST(TraceParse, RejectsMalformedLines) {
-  std::istringstream bad_type("0 X 40000000\n");
-  EXPECT_THROW(parse_trace(bad_type), std::runtime_error);
-  std::istringstream missing("0 L\n");
-  EXPECT_THROW(parse_trace(missing), std::runtime_error);
-  std::istringstream bad_addr("0 L zzz\n");
-  EXPECT_THROW(parse_trace(bad_addr), std::runtime_error);
+  EXPECT_THROW(scan("0 X 40000000\n"), std::runtime_error);
+  EXPECT_THROW(scan("0 L\n"), std::runtime_error);
+  EXPECT_THROW(scan("0 L zzz\n"), std::runtime_error);
+  // Loading a file goes through the same scanner.
+  SystemConfig config;
+  const TextTraceFile bad("malformed", "0 L 1000\n0 X 40000000\n");
+  EXPECT_THROW(load_trace_workload(bad.path(), config), std::runtime_error);
 }
 
 TEST(TraceParse, RoundTripsThroughWriter) {
-  std::istringstream in("0 L 1000\n3 S 2fc0\n0 I 3000\n");
-  const auto records = parse_trace(in);
+  const auto records = scan("0 L 1000\n3 S 2fc0\n0 I 3000\n");
   std::ostringstream out;
-  write_trace(out, records);
-  std::istringstream again(out.str());
-  const auto reparsed = parse_trace(again);
+  for (const trace::TextRecord& r : records) {
+    trace::write_text_record(out, r.thread, r.access);
+  }
+  const auto reparsed = scan(out.str());
   ASSERT_EQ(reparsed.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(reparsed[i].thread, records[i].thread);
@@ -62,12 +91,12 @@ TEST(TraceParse, RoundTripsThroughWriter) {
 }
 
 TEST(TraceWorkload, BuildsOneThreadPerId) {
-  std::istringstream in(
-      "0 L 40000000\n"
-      "2 L 80000000\n"
-      "0 S 40000040\n");
+  const TextTraceFile file("ids",
+                           "0 L 40000000\n"
+                           "2 L 80000000\n"
+                           "0 S 40000040\n");
   SystemConfig config;
-  const auto spec = make_trace_workload(parse_trace(in), config);
+  const auto spec = load_trace_workload(file.path(), config);
   ASSERT_EQ(spec.threads.size(), 2u);
   EXPECT_EQ(spec.threads[0].accesses, 2u);
   EXPECT_EQ(spec.threads[1].accesses, 1u);
@@ -76,13 +105,15 @@ TEST(TraceWorkload, BuildsOneThreadPerId) {
 
 TEST(TraceWorkload, RejectsEmptyTrace) {
   SystemConfig config;
-  EXPECT_THROW(make_trace_workload({}, config), std::invalid_argument);
+  const TextTraceFile empty("empty", "# comments only\n\n");
+  EXPECT_THROW(load_trace_workload(empty.path(), config),
+               std::invalid_argument);
 }
 
 TEST(TraceWorkload, WrapsThreadIdsOntoCores) {
-  std::istringstream in("20 L 1000\n");
+  const TextTraceFile file("wrap", "20 L 1000\n");
   SystemConfig config;
-  const auto spec = make_trace_workload(parse_trace(in), config);
+  const auto spec = load_trace_workload(file.path(), config);
   EXPECT_EQ(spec.threads[0].node, 20 % 16);
 }
 
@@ -98,8 +129,8 @@ TEST(TraceWorkload, RunsEndToEndUnderBothModes) {
     }
   }
   SystemConfig config;
-  std::istringstream in(trace.str());
-  const auto spec = make_trace_workload(parse_trace(in), config);
+  const TextTraceFile file("modes", trace.str());
+  const auto spec = load_trace_workload(file.path(), config);
   for (auto mode : {DirectoryMode::kBaseline, DirectoryMode::kAllarm}) {
     const auto r = core::run_single(config, mode, spec, 3);
     EXPECT_GT(r.runtime, 0u);
@@ -108,39 +139,38 @@ TEST(TraceWorkload, RunsEndToEndUnderBothModes) {
   }
 }
 
-TEST(TraceWorkload, LoadStreamsWithoutMaterializingRecords) {
-  // load_trace_workload must behave exactly like parse + make (it shares
-  // the same conversion), while reading the file in streaming passes.
-  const std::string path = testing::TempDir() + "/allarm_trace_load.txt";
-  std::ostringstream text;
-  for (int t = 3; t >= 0; --t) {  // Ids out of order: order must not matter.
-    for (int i = 0; i < 40; ++i) {
-      text << t << " " << (i % 4 == 0 ? 'S' : 'L') << " " << std::hex
-           << (0x50000000ull * (t + 1) + i * 64) << std::dec << "\n";
+TEST(TraceWorkload, ThreadOrderInTheFileDoesNotMatter) {
+  // Threads register in order of first appearance but are seeded in id
+  // order, so the same per-thread streams written with the ids descending
+  // or ascending must build the same workload and the same run.
+  const auto text = [](int first, int step) {
+    std::ostringstream out;
+    for (int t = first; t >= 0 && t < 4; t += step) {
+      for (int i = 0; i < 40; ++i) {
+        out << t << " " << (i % 4 == 0 ? 'S' : 'L') << " " << std::hex
+            << (0x50000000ull * (t + 1) + i * 64) << std::dec << "\n";
+      }
     }
-  }
-  {
-    std::ofstream out(path);
-    out << text.str();
-  }
+    return out.str();
+  };
+  const TextTraceFile descending("descending", text(3, -1));
+  const TextTraceFile ascending("ascending", text(0, 1));
   SystemConfig config;
-  const auto streamed = workload::load_trace_workload(path, config);
-  std::istringstream in(text.str());
-  const auto materialized =
-      workload::make_trace_workload(workload::parse_trace(in), config);
+  const auto a = load_trace_workload(descending.path(), config);
+  const auto b = load_trace_workload(ascending.path(), config);
 
-  ASSERT_EQ(streamed.threads.size(), materialized.threads.size());
-  for (std::size_t i = 0; i < streamed.threads.size(); ++i) {
-    EXPECT_EQ(streamed.threads[i].id, materialized.threads[i].id);
-    EXPECT_EQ(streamed.threads[i].node, materialized.threads[i].node);
-    EXPECT_EQ(streamed.threads[i].accesses, materialized.threads[i].accesses);
+  ASSERT_EQ(a.threads.size(), 4u);
+  ASSERT_EQ(a.threads.size(), b.threads.size());
+  for (std::size_t i = 0; i < a.threads.size(); ++i) {
+    EXPECT_EQ(a.threads[i].id, i);
+    EXPECT_EQ(a.threads[i].id, b.threads[i].id);
+    EXPECT_EQ(a.threads[i].node, b.threads[i].node);
+    EXPECT_EQ(a.threads[i].accesses, b.threads[i].accesses);
   }
-  const auto a = core::run_single(config, DirectoryMode::kBaseline, streamed, 5);
-  const auto b =
-      core::run_single(config, DirectoryMode::kBaseline, materialized, 5);
-  EXPECT_EQ(a.runtime, b.runtime);
-  EXPECT_EQ(a.stats.values(), b.stats.values());
-  std::remove(path.c_str());
+  const auto ra = core::run_single(config, DirectoryMode::kBaseline, a, 5);
+  const auto rb = core::run_single(config, DirectoryMode::kBaseline, b, 5);
+  EXPECT_EQ(ra.runtime, rb.runtime);
+  EXPECT_EQ(ra.stats.values(), rb.stats.values());
 }
 
 // ------------------------------------------------------- capture / replay ----
@@ -255,8 +285,8 @@ TEST(TraceWorkload, AllarmStillSkipsLocalAllocations) {
           << "\n";
   }
   SystemConfig config;
-  std::istringstream in(trace.str());
-  const auto spec = make_trace_workload(parse_trace(in), config);
+  const TextTraceFile file("local", trace.str());
+  const auto spec = load_trace_workload(file.path(), config);
   const auto r = core::run_single(config, DirectoryMode::kAllarm, spec, 3);
   EXPECT_EQ(r.stats.get("pf.inserts"), 0.0);
   EXPECT_EQ(r.stats.get("dir.local_no_alloc"), 100.0);
