@@ -2,52 +2,24 @@
 // first-touch page placement homing thread-private data locally.  Under an
 // interleaved policy the same workload sends most "private" requests to
 // remote directories and the local-miss fast path starves.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
-#include <map>
 
-#include "bench_util.hh"
+#include "bench_cli.hh"
+#include "workload/profiles.hh"
 
-namespace {
-
-using namespace allarm;
-
-const std::vector<std::string> kBenches{"ocean-cont", "barnes"};
-
-std::map<std::string, core::RunResult>& results() {
-  static std::map<std::string, core::RunResult> r;
-  return r;
-}
-
-std::uint64_t accesses() { return core::bench_accesses(20000); }
-
-std::string key_of(const std::string& name, numa::AllocPolicy policy) {
-  return name +
-         (policy == numa::AllocPolicy::kFirstTouch ? "/first-touch"
-                                                   : "/interleave");
-}
-
-void BM_Policy(benchmark::State& state, const std::string& name,
-               numa::AllocPolicy policy) {
-  for (auto _ : state) {
-    SystemConfig config;
-    const auto spec = workload::make_benchmark(name, config, accesses());
-    core::RunResult r =
-        core::run_single(config, DirectoryMode::kAllarm, spec, 42, policy);
-    state.counters["local_no_alloc"] = r.stats.get("dir.local_no_alloc");
-    state.counters["local_fraction"] = r.stats.get("dir.local_fraction");
-    results()[key_of(name, policy)] = std::move(r);
-  }
-}
-
-void print_summary() {
+int main(int argc, char** argv) {
+  using namespace allarm;
+  bench::no_args(argc, argv);
   TextTable t({"benchmark", "policy", "local fraction", "no-alloc fast path",
                "PF inserts"});
-  for (const auto& name : kBenches) {
+  for (const char* name : {"ocean-cont", "barnes"}) {
     for (const auto policy :
          {numa::AllocPolicy::kFirstTouch, numa::AllocPolicy::kInterleave}) {
-      const auto& r = results().at(key_of(name, policy));
+      SystemConfig config;
+      const auto spec = workload::make_benchmark(name, config,
+                                                 core::bench_accesses(20000));
+      const core::RunResult r =
+          core::run_single(config, DirectoryMode::kAllarm, spec, 42, policy);
       t.add_row({name,
                  policy == numa::AllocPolicy::kFirstTouch ? "first-touch"
                                                           : "interleave",
@@ -62,23 +34,5 @@ void print_summary() {
             << "\nFirst-touch keeps private data local, so most misses skip "
                "allocation;\ninterleaving spreads pages and defeats the "
                "detection heuristic.\n";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  for (const auto& name : kBenches) {
-    for (const auto policy :
-         {numa::AllocPolicy::kFirstTouch, numa::AllocPolicy::kInterleave}) {
-      const char* pname = policy == numa::AllocPolicy::kFirstTouch
-                              ? "first_touch"
-                              : "interleave";
-      benchmark::RegisterBenchmark(
-          ("alloc_policy/" + name + "/" + pname).c_str(),
-          [name, policy](benchmark::State& st) { BM_Policy(st, name, policy); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-  return allarm::bench::run_benchmarks(argc, argv, print_summary);
+  return 0;
 }

@@ -3,45 +3,26 @@
 // the default) vs an eviction buffer that drains victim flows off the
 // critical path.  The gap bounds how much of ALLARM's speedup comes from
 // removing eviction latency vs removing eviction side effects.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
-#include <map>
 
-#include "bench_util.hh"
+#include "bench_cli.hh"
+#include "workload/profiles.hh"
 
-namespace {
-
-using namespace allarm;
-
-const std::vector<std::string> kBenches{"ocean-cont", "barnes",
-                                        "blackscholes"};
-
-std::map<std::string, core::PairResult>& results() {
-  static std::map<std::string, core::PairResult> r;
-  return r;
-}
-
-std::uint64_t accesses() { return core::bench_accesses(20000); }
-
-void BM_Eviction(benchmark::State& state, const std::string& name,
-                 bool gates) {
-  for (auto _ : state) {
+int main(int argc, char** argv) {
+  using namespace allarm;
+  bench::no_args(argc, argv);
+  const auto run = [](const char* name, bool gates) {
     SystemConfig config;
     config.eviction_gates_reply = gates;
-    const auto spec = workload::make_benchmark(name, config, accesses());
-    core::PairResult pair = core::run_pair(config, spec, 42);
-    state.counters["speedup"] = pair.speedup();
-    results()[name + (gates ? "/sync" : "/buffered")] = std::move(pair);
-  }
-}
-
-void print_summary() {
+    const auto spec = workload::make_benchmark(name, config,
+                                               core::bench_accesses(20000));
+    return core::run_pair(config, spec, 42);
+  };
   TextTable t({"benchmark", "speedup (sync eviction)",
                "speedup (eviction buffer)", "norm evictions"});
-  for (const auto& name : kBenches) {
-    auto& sync = results().at(name + "/sync");
-    auto& buf = results().at(name + "/buffered");
+  for (const char* name : {"ocean-cont", "barnes", "blackscholes"}) {
+    const core::PairResult sync = run(name, true);
+    const core::PairResult buf = run(name, false);
     t.add_row({name, TextTable::fmt(sync.speedup(), 3),
                TextTable::fmt(buf.speedup(), 3),
                TextTable::fmt(sync.normalized("dir.pf_evictions"), 3)});
@@ -52,19 +33,5 @@ void print_summary() {
                "also avoids an\ninvalidation round trip on the allocating "
                "miss; with an eviction buffer only\nthe traffic and "
                "invalidation side effects remain.\n";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  for (const auto& name : kBenches) {
-    for (const bool gates : {true, false}) {
-      benchmark::RegisterBenchmark(
-          ("eviction_model/" + name + (gates ? "/sync" : "/buffered")).c_str(),
-          [name, gates](benchmark::State& st) { BM_Eviction(st, name, gates); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-  return allarm::bench::run_benchmarks(argc, argv, print_summary);
+  return 0;
 }

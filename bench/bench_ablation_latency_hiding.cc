@@ -3,49 +3,26 @@
 // With the parallel scheme the probe is hidden whenever it misses and DRAM
 // is slower; serializing it puts the probe on the critical path of every
 // remote miss.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
-#include "bench_util.hh"
+#include "bench_cli.hh"
+#include "workload/profiles.hh"
 
-namespace {
-
-using namespace allarm;
-
-const std::vector<std::string> kBenches{"ocean-cont", "fluidanimate",
-                                        "blackscholes"};
-
-bench::PairCache& cache() {
-  static bench::PairCache c;
-  return c;
-}
-
-std::uint64_t accesses() { return core::bench_accesses(20000); }
-
-core::RunResult& run_one(const std::string& name, bool parallel) {
-  SystemConfig config;
-  config.allarm_parallel_local_probe = parallel;
-  const auto spec = workload::make_benchmark(name, config, accesses());
-  return cache().run_single(name + (parallel ? "/par" : "/ser"), config,
-                            DirectoryMode::kAllarm, spec);
-}
-
-void BM_Hiding(benchmark::State& state, const std::string& name,
-               bool parallel) {
-  for (auto _ : state) {
-    auto& r = run_one(name, parallel);
-    state.counters["hidden_fraction"] =
-        r.stats.get("dir.probe_hidden_fraction");
-  }
-}
-
-void print_summary() {
+int main(int argc, char** argv) {
+  using namespace allarm;
+  bench::no_args(argc, argv);
+  const auto run = [](const char* name, bool parallel) {
+    SystemConfig config;
+    config.allarm_parallel_local_probe = parallel;
+    const auto spec = workload::make_benchmark(name, config,
+                                               core::bench_accesses(20000));
+    return core::run_single(config, DirectoryMode::kAllarm, spec, 42);
+  };
   TextTable t({"benchmark", "hidden (parallel)", "hidden (serial)",
                "runtime parallel/serial"});
-  for (const auto& name : kBenches) {
-    auto& par = cache().single_at(name + "/par");
-    auto& ser = cache().single_at(name + "/ser");
+  for (const char* name : {"ocean-cont", "fluidanimate", "blackscholes"}) {
+    const core::RunResult par = run(name, true);
+    const core::RunResult ser = run(name, false);
     t.add_row({name,
                TextTable::fmt(par.stats.get("dir.probe_hidden_fraction"), 3),
                TextTable::fmt(ser.stats.get("dir.probe_hidden_fraction"), 3),
@@ -58,22 +35,5 @@ void print_summary() {
             << "\nParallel issue hides the probe behind the DRAM access "
                "(paper: 81% of remote requests);\nserialized issue hides "
                "nothing by construction.\n";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  for (const auto& name : kBenches) {
-    for (const bool parallel : {true, false}) {
-      benchmark::RegisterBenchmark(
-          ("latency_hiding/" + name + (parallel ? "/parallel" : "/serial"))
-              .c_str(),
-          [name, parallel](benchmark::State& st) {
-            BM_Hiding(st, name, parallel);
-          })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-  return allarm::bench::run_benchmarks(argc, argv, print_summary);
+  return 0;
 }

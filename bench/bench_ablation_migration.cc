@@ -2,50 +2,29 @@
 // keys off page homes, so migrating threads turn previously-local data
 // remote; the paper argues NUMA schedulers avoid migration and that ALLARM
 // keeps working (just with less benefit) when it happens.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
-#include <map>
 
-#include "bench_util.hh"
+#include "bench_cli.hh"
 #include "core/system.hh"
+#include "workload/profiles.hh"
 
-namespace {
-
-using namespace allarm;
-
-// Migration periods in microseconds; 0 = never (NUMA-scheduler behaviour).
-const std::vector<std::uint32_t> kPeriodsUs{0, 200, 50};
-
-std::map<std::uint32_t, core::RunResult>& results() {
-  static std::map<std::uint32_t, core::RunResult> r;
-  return r;
-}
-
-std::uint64_t accesses() { return core::bench_accesses(20000); }
-
-void BM_Migration(benchmark::State& state, std::uint32_t period_us) {
-  for (auto _ : state) {
+int main(int argc, char** argv) {
+  using namespace allarm;
+  bench::no_args(argc, argv);
+  TextTable t({"migration period", "migrations", "local fraction",
+               "no-alloc fast path", "runtime (ms)"});
+  // Migration periods in microseconds; 0 = never (NUMA-scheduler behaviour).
+  for (const std::uint32_t period_us : {0u, 200u, 50u}) {
     SystemConfig config;
     config.directory_mode = DirectoryMode::kAllarm;
     const auto spec = workload::make_benchmark("ocean-cont", config,
-                                               accesses());
+                                               core::bench_accesses(20000));
     core::System system(config);
     core::RunOptions options;
     options.seed = 42;
     options.migration_interval = ticks_from_ns(1000.0) * period_us;
-    core::RunResult r = system.run(spec, options);
-    state.counters["local_fraction"] = r.stats.get("dir.local_fraction");
-    results()[period_us] = std::move(r);
-  }
-}
-
-void print_summary() {
-  TextTable t({"migration period", "migrations", "local fraction",
-               "no-alloc fast path", "runtime (ms)"});
-  for (const std::uint32_t period : kPeriodsUs) {
-    const auto& r = results().at(period);
-    t.add_row({period == 0 ? "never" : std::to_string(period) + "us",
+    const core::RunResult r = system.run(spec, options);
+    t.add_row({period_us == 0 ? "never" : std::to_string(period_us) + "us",
                TextTable::fmt(r.stats.get("os.migrations"), 0),
                TextTable::fmt(r.stats.get("dir.local_fraction"), 3),
                TextTable::fmt(r.stats.get("dir.local_no_alloc"), 0),
@@ -57,19 +36,5 @@ void print_summary() {
             << "\nALLARM stays correct under migration; locality (and with "
                "it the no-allocation\nfast path) erodes as migration "
                "frequency rises.\n";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  for (const std::uint32_t period : kPeriodsUs) {
-    benchmark::RegisterBenchmark(
-        ("migration/" +
-         (period == 0 ? std::string("never") : std::to_string(period) + "us"))
-            .c_str(),
-        [period](benchmark::State& st) { BM_Migration(st, period); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-  return allarm::bench::run_benchmarks(argc, argv, print_summary);
+  return 0;
 }

@@ -2,43 +2,22 @@
 // associativity absorbs set-conflict pressure; lower associativity evicts
 // more.  ALLARM's advantage persists across geometries because its benefit
 // comes from allocation volume, not placement.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
-#include <map>
 
-#include "bench_util.hh"
+#include "bench_cli.hh"
+#include "workload/profiles.hh"
 
-namespace {
-
-using namespace allarm;
-
-const std::vector<std::uint32_t> kWays{2, 4, 8};
-
-std::map<std::string, core::PairResult>& results() {
-  static std::map<std::string, core::PairResult> r;
-  return r;
-}
-
-std::uint64_t accesses() { return core::bench_accesses(20000); }
-
-void BM_Assoc(benchmark::State& state, std::uint32_t ways) {
-  for (auto _ : state) {
+int main(int argc, char** argv) {
+  using namespace allarm;
+  bench::no_args(argc, argv);
+  TextTable t({"PF ways", "baseline evictions", "ALLARM evictions",
+               "norm evictions", "speedup"});
+  for (const std::uint32_t ways : {2u, 4u, 8u}) {
     SystemConfig config;
     config.probe_filter_ways = ways;
     const auto spec = workload::make_benchmark("ocean-cont", config,
-                                               accesses());
-    core::PairResult pair = core::run_pair(config, spec, 42);
-    state.counters["speedup"] = pair.speedup();
-    results()[std::to_string(ways)] = std::move(pair);
-  }
-}
-
-void print_summary() {
-  TextTable t({"PF ways", "baseline evictions", "ALLARM evictions",
-               "norm evictions", "speedup"});
-  for (const std::uint32_t ways : kWays) {
-    auto& pair = results().at(std::to_string(ways));
+                                               core::bench_accesses(20000));
+    const core::PairResult pair = core::run_pair(config, spec, 42);
     t.add_row({std::to_string(ways),
                TextTable::fmt(pair.baseline.stats.get("dir.pf_evictions"), 0),
                TextTable::fmt(pair.allarm.stats.get("dir.pf_evictions"), 0),
@@ -48,17 +27,5 @@ void print_summary() {
   std::cout << "\n=== Ablation: probe-filter associativity (ocean-cont, "
                "512kB coverage) ===\n"
             << t.to_string();
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  for (const std::uint32_t ways : kWays) {
-    benchmark::RegisterBenchmark(
-        ("pf_assoc/" + std::to_string(ways) + "way").c_str(),
-        [ways](benchmark::State& st) { BM_Assoc(st, ways); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-  return allarm::bench::run_benchmarks(argc, argv, print_summary);
+  return 0;
 }

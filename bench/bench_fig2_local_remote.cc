@@ -1,37 +1,22 @@
 // Figure 2: ratio of local to remote requests reaching the directories,
 // per benchmark (measured on the baseline system, averaged over all
 // directories - exactly the quantity the paper plots).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
-#include "bench_util.hh"
+#include "bench_cli.hh"
+#include "workload/profiles.hh"
 
-namespace {
-
-using namespace allarm;
-
-bench::PairCache& cache() {
-  static bench::PairCache c;
-  return c;
-}
-
-std::uint64_t accesses() { return core::bench_accesses(30000); }
-
-void BM_Fig2(benchmark::State& state, const std::string& name) {
-  SystemConfig config;
-  for (auto _ : state) {
-    const auto spec = workload::make_benchmark(name, config, accesses());
-    auto& r = cache().run_single(name, config, DirectoryMode::kBaseline, spec);
-    state.counters["local_fraction"] = r.stats.get("dir.local_fraction");
-  }
-}
-
-void print_figure() {
+int main(int argc, char** argv) {
+  using namespace allarm;
+  bench::no_args(argc, argv);
+  const SystemConfig config;
   TextTable t({"benchmark", "local", "remote"});
   for (const auto& name : workload::benchmark_names()) {
+    const auto spec = workload::make_benchmark(
+        name, config, core::bench_accesses(30000));
     const double local =
-        cache().single_at(name).stats.get("dir.local_fraction");
+        core::run_single(config, DirectoryMode::kBaseline, spec, 42)
+            .stats.get("dir.local_fraction");
     t.add_row({name, TextTable::fmt(local, 3), TextTable::fmt(1 - local, 3)});
   }
   std::cout << "\n=== Figure 2: fraction of local vs remote directory "
@@ -40,18 +25,5 @@ void print_figure() {
             << "\nPaper: all benchmarks have a majority of remote accesses "
                "except fluidanimate/ocean,\nwhich are the most NUMA-friendly "
                "(largest local fractions).\n";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  for (const auto& name : workload::benchmark_names()) {
-    benchmark::RegisterBenchmark(("fig2/" + name).c_str(),
-                                 [name](benchmark::State& st) {
-                                   BM_Fig2(st, name);
-                                 })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-  return allarm::bench::run_benchmarks(argc, argv, print_figure);
+  return 0;
 }

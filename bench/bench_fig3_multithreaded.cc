@@ -5,61 +5,18 @@
 //   3e normalized L2 misses        3f normalized dynamic energy (NoC, PF)
 //   3g fraction of remote misses with the local probe off the critical path
 //
-// The full grid (benchmarks x {baseline, allarm}) runs up front on the
-// sweep runner, sharded across ALLARM_JOBS workers (default: all cores);
-// the per-figure counters then read from the finished sweep.
-#include <benchmark/benchmark.h>
-
+// The built-in "fig3" grid (benchmarks x {baseline, allarm}) runs on the
+// sweep runner across ALLARM_JOBS workers (default: all cores); the
+// figures then read from the finished sweep.
 #include <iostream>
 
-#include "bench_util.hh"
-#include "runner/sink.hh"
-#include "runner/sweep.hh"
+#include "bench_cli.hh"
+#include "workload/profiles.hh"
 
-namespace {
-
-using namespace allarm;
-
-std::uint64_t accesses() { return core::bench_accesses(30000); }
-
-const runner::SweepResult& sweep() {
-  static const runner::SweepResult result = [] {
-    runner::SweepSpec spec;
-    spec.name = "fig3";
-    spec.workloads = workload::benchmark_names();
-    spec.configs = {{"table1", SystemConfig{}}};
-    spec.modes = {DirectoryMode::kBaseline, DirectoryMode::kAllarm};
-    spec.accesses_per_thread = accesses();
-    const runner::SweepRunner sweep_runner(core::bench_jobs());
-    std::cerr << "fig3: " << spec.job_count() << " simulations on "
-              << sweep_runner.jobs() << " workers\n";
-    // Stream cells as they finish, keeping only runs[0] per cell — the
-    // figures read the pair() lookups, never the other replicates.
-    runner::SweepResult out;
-    runner::CollectSink sink(out, runner::CollectSink::Retain::kFirstRunOnly);
-    sweep_runner.run_streaming(spec, sink);
-    return out;
-  }();
-  return result;
-}
-
-core::PairResult pair_for(const std::string& name) {
-  return sweep().pair(name, "table1");
-}
-
-void BM_Fig3(benchmark::State& state, const std::string& name) {
-  for (auto _ : state) {
-    const auto pair = pair_for(name);
-    state.counters["speedup"] = pair.speedup();
-    state.counters["norm_evictions"] = pair.normalized("dir.pf_evictions");
-    state.counters["norm_traffic"] = pair.normalized("noc.bytes");
-    state.counters["norm_l2_misses"] = pair.normalized("cache.misses");
-    state.counters["probe_hidden"] =
-        pair.allarm.stats.get("dir.probe_hidden_fraction");
-  }
-}
-
-void print_figures() {
+int main(int argc, char** argv) {
+  using namespace allarm;
+  bench::no_args(argc, argv);
+  const runner::SweepResult sweep = bench::run_grid("fig3");
   const auto& names = workload::benchmark_names();
 
   TextTable a({"benchmark", "speedup"});
@@ -72,7 +29,7 @@ void print_figures() {
 
   std::vector<double> speedups, evictions, traffic, misses, e_noc, e_pf;
   for (const auto& name : names) {
-    const auto pair = pair_for(name);
+    const auto pair = sweep.pair(name, "table1");
     speedups.push_back(pair.speedup());
     evictions.push_back(pair.normalized("dir.pf_evictions"));
     traffic.push_back(pair.normalized("noc.bytes"));
@@ -121,18 +78,5 @@ void print_figures() {
   std::cout << "\n=== Figure 3g: remote misses with local probe hidden "
                "(paper: ~0.81 avg) ===\n"
             << g.to_string();
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  for (const auto& name : workload::benchmark_names()) {
-    benchmark::RegisterBenchmark(("fig3/" + name).c_str(),
-                                 [name](benchmark::State& st) {
-                                   BM_Fig3(st, name);
-                                 })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-  return allarm::bench::run_benchmarks(argc, argv, print_figures);
+  return 0;
 }

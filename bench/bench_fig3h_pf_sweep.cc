@@ -6,82 +6,37 @@
 // stay at or above baseline even at 128kB, i.e. ALLARM enables a 4x smaller
 // directory for such workloads.
 //
-// The (benchmark x probe-filter size x mode) grid runs up front on the
-// sweep runner across ALLARM_JOBS workers; every cell replays the same
+// The built-in "fig3h" grid (benchmark x probe-filter size x mode) runs on
+// the sweep runner across ALLARM_JOBS workers; every cell replays the same
 // per-benchmark access stream (seeds are config- and mode-blind), so the
 // normalization is apples to apples.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <stdexcept>
 
-#include "bench_util.hh"
-#include "runner/sink.hh"
-#include "runner/sweep.hh"
+#include "bench_cli.hh"
+#include "workload/profiles.hh"
 
-namespace {
-
-using namespace allarm;
-
-const std::vector<std::uint32_t> kSizesKb{512, 256, 128};
-
-std::uint64_t accesses() { return core::bench_accesses(20000); }
-
-std::string label(std::uint32_t kb) { return std::to_string(kb) + "kB"; }
-
-const runner::SweepResult& sweep() {
-  static const runner::SweepResult result = [] {
-    runner::SweepSpec spec;
-    spec.name = "fig3h";
-    spec.workloads = workload::benchmark_names();
-    for (const std::uint32_t kb : kSizesKb) {
-      SystemConfig config;
-      config.probe_filter_coverage_bytes = kb * 1024;
-      spec.configs.push_back({label(kb), config});
+int main(int argc, char** argv) {
+  using namespace allarm;
+  bench::no_args(argc, argv);
+  const runner::SweepResult sweep = bench::run_grid("fig3h");
+  const auto runtime_of = [&](const std::string& name, const char* size,
+                              DirectoryMode mode) {
+    const runner::CellResult* cell = sweep.find(name, size, mode);
+    if (cell == nullptr) {
+      throw std::out_of_range("fig3h sweep has no cell " + name + "/" + size +
+                              "/" + to_string(mode));
     }
-    spec.modes = {DirectoryMode::kBaseline, DirectoryMode::kAllarm};
-    spec.accesses_per_thread = accesses();
-    const runner::SweepRunner sweep_runner(core::bench_jobs());
-    std::cerr << "fig3h: " << spec.job_count() << " simulations on "
-              << sweep_runner.jobs() << " workers\n";
-    // Stream cells as they finish; the figure reads runs[0] runtimes only.
-    runner::SweepResult out;
-    runner::CollectSink sink(out, runner::CollectSink::Retain::kFirstRunOnly);
-    sweep_runner.run_streaming(spec, sink);
-    return out;
-  }();
-  return result;
-}
+    return static_cast<double>(cell->runs.at(0).runtime);
+  };
 
-Tick runtime_of(const std::string& name, std::uint32_t kb,
-                DirectoryMode mode) {
-  const runner::CellResult* cell = sweep().find(name, label(kb), mode);
-  if (cell == nullptr) {
-    throw std::out_of_range("fig3h sweep has no cell " + name + "/" +
-                            label(kb) + "/" + to_string(mode));
-  }
-  return cell->runs.at(0).runtime;
-}
-
-void BM_Sweep(benchmark::State& state, const std::string& name,
-              std::uint32_t kb) {
-  for (auto _ : state) {
-    const auto base512 = runtime_of(name, 512, DirectoryMode::kBaseline);
-    const auto allarm = runtime_of(name, kb, DirectoryMode::kAllarm);
-    state.counters["speedup_vs_base512"] =
-        static_cast<double>(base512) / allarm;
-  }
-}
-
-void print_figure() {
   TextTable t({"benchmark", "512kB", "256kB", "128kB"});
   for (const auto& name : workload::benchmark_names()) {
     std::vector<std::string> row{name};
-    const double base = static_cast<double>(
-        runtime_of(name, 512, DirectoryMode::kBaseline));
-    for (const std::uint32_t kb : kSizesKb) {
+    const double base = runtime_of(name, "512kB", DirectoryMode::kBaseline);
+    for (const char* size : {"512kB", "256kB", "128kB"}) {
       row.push_back(TextTable::fmt(
-          base / runtime_of(name, kb, DirectoryMode::kAllarm), 3));
+          base / runtime_of(name, size, DirectoryMode::kAllarm), 3));
     }
     t.add_row(row);
   }
@@ -92,19 +47,5 @@ void print_figure() {
                "ocean-non-cont/x264 degrade at 128kB;\nbarnes and "
                "ocean-contiguous hold baseline performance at 128kB (4x "
                "smaller directory).\n";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  for (const auto& name : workload::benchmark_names()) {
-    for (const std::uint32_t kb : kSizesKb) {
-      benchmark::RegisterBenchmark(
-          ("fig3h/" + name + "/" + std::to_string(kb) + "kB").c_str(),
-          [name, kb](benchmark::State& st) { BM_Sweep(st, name, kb); })
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
-    }
-  }
-  return allarm::bench::run_benchmarks(argc, argv, print_figure);
+  return 0;
 }

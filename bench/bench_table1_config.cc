@@ -1,28 +1,14 @@
 // Table I: the simulated system configuration.
 //
 // Prints the configuration the simulator instantiates (which defaults to
-// the paper's Table I) and benchmarks System construction.
-#include <benchmark/benchmark.h>
-
+// the paper's Table I).
 #include <iostream>
 
-#include "bench_util.hh"
-#include "core/system.hh"
+#include "bench_cli.hh"
 
-namespace {
-
-using namespace allarm;
-
-void BM_SystemConstruction(benchmark::State& state) {
-  SystemConfig config;
-  for (auto _ : state) {
-    core::System system(config);
-    benchmark::DoNotOptimize(&system);
-  }
-}
-BENCHMARK(BM_SystemConstruction)->Unit(benchmark::kMillisecond);
-
-void print_table1() {
+int main(int argc, char** argv) {
+  using namespace allarm;
+  bench::no_args(argc, argv);
   SystemConfig c;
   c.validate();
   TextTable t({"parameter", "value", "paper (Table I)"});
@@ -64,10 +50,5 @@ void print_table1() {
              TextTable::fmt(ns_from_ticks(c.link_latency), 0) + " ns",
              "10 ns"});
   std::cout << "\n=== Table I: simulated system ===\n" << t.to_string();
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  return allarm::bench::run_benchmarks(argc, argv, print_table1);
+  return 0;
 }

@@ -1,39 +1,23 @@
 // The probe-filter area table (Section III-B): die area of all 16 probe
 // filters as the per-node coverage shrinks, i.e. the SRAM that ALLARM can
 // hand back to the last-level cache when a smaller filter suffices.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <map>
 
-#include "bench_util.hh"
+#include "bench_cli.hh"
 #include "energy/model.hh"
 
-namespace {
-
-using namespace allarm;
-
-const std::map<std::uint32_t, double> kPaperArea{
-    {512, 70.89}, {256, 26.95}, {128, 19.90}, {64, 8.20}, {32, 5.93}};
-
-void BM_AreaModel(benchmark::State& state) {
-  double sink = 0;
-  for (auto _ : state) {
-    for (const auto& [kb, unused] : kPaperArea) {
-      sink += energy::EnergyModel::probe_filter_area_mm2(kb * 1024, 16);
-    }
-  }
-  benchmark::DoNotOptimize(sink);
-}
-BENCHMARK(BM_AreaModel);
-
-void print_table() {
+int main(int argc, char** argv) {
+  using namespace allarm;
+  bench::no_args(argc, argv);
+  const std::map<std::uint32_t, double> paper_area{
+      {512, 70.89}, {256, 26.95}, {128, 19.90}, {64, 8.20}, {32, 5.93}};
   TextTable t({"PF configuration", "model area (mm^2)", "paper (McPAT, mm^2)"});
   for (const std::uint32_t kb : {512u, 256u, 128u, 64u, 32u}) {
     t.add_row({std::to_string(kb) + "kB",
                TextTable::fmt(
                    energy::EnergyModel::probe_filter_area_mm2(kb * 1024, 16), 2),
-               TextTable::fmt(kPaperArea.at(kb), 2)});
+               TextTable::fmt(paper_area.at(kb), 2)});
   }
   std::cout << "\n=== Probe-filter area vs coverage (16 directories) ===\n"
             << t.to_string()
@@ -41,10 +25,5 @@ void print_table() {
                "(least squares in log space);\nendpoints match closely, "
                "mid-range deviates where the paper's own data is "
                "non-monotone in density.\n";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  return allarm::bench::run_benchmarks(argc, argv, print_table);
+  return 0;
 }

@@ -8,12 +8,13 @@
 // each step (the McPAT-style model from the paper's area table).
 //
 //   ./directory_sizing [benchmark] [accesses-per-thread]
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <stdexcept>
 #include <string>
 
 #include "common/config.hh"
+#include "common/parse.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
 #include "energy/model.hh"
@@ -23,11 +24,11 @@ int main(int argc, char** argv) {
   using namespace allarm;
 
   const std::string bench = argc > 1 ? argv[1] : "ocean-cont";
-  const std::uint64_t accesses =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 40000;
+  std::uint64_t accesses = 40000;
   try {
+    if (argc > 2) accesses = parse_u64("accesses-per-thread", argv[2]);
     workload::benchmark_params(bench);
-  } catch (const std::out_of_range& e) {
+  } catch (const std::logic_error& e) {  // invalid_argument, out_of_range.
     std::cerr << "directory_sizing: " << e.what() << '\n';
     return 2;
   }

@@ -5,12 +5,13 @@
 // shows how the no-allocation fast path and the directory load change.
 //
 //   ./numa_placement [benchmark] [accesses-per-thread]
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <stdexcept>
 #include <string>
 
 #include "common/config.hh"
+#include "common/parse.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
 #include "workload/profiles.hh"
@@ -19,14 +20,13 @@ int main(int argc, char** argv) {
   using namespace allarm;
 
   const std::string bench = argc > 1 ? argv[1] : "ocean-cont";
-  const std::uint64_t accesses =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 15000;
-
+  std::uint64_t accesses = 15000;
   SystemConfig config;
   workload::WorkloadSpec spec;
   try {
+    if (argc > 2) accesses = parse_u64("accesses-per-thread", argv[2]);
     spec = workload::make_benchmark(bench, config, accesses);
-  } catch (const std::out_of_range& e) {
+  } catch (const std::logic_error& e) {  // invalid_argument, out_of_range.
     std::cerr << "numa_placement: " << e.what() << '\n';
     return 2;
   }
