@@ -33,13 +33,28 @@
 
 namespace allarm::bench {
 
+/// Parses ALLARM_BENCH_ACCESSES and ALLARM_JOBS up front: a malformed
+/// value prints "<bench>: <message>" and exits 2 before anything runs.
+inline void check_env(const char* bench) {
+  try {
+    core::check_bench_env();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << bench << ": " << e.what() << "\n";
+    std::exit(2);
+  }
+}
+
 /// The figure and table benches take no arguments: any argument prints a
-/// usage line and exits 2.
+/// usage line and exits 2, as does a malformed ALLARM_BENCH_ACCESSES or
+/// ALLARM_JOBS (check_env).
 inline void no_args(int argc, char** argv) {
-  if (argc <= 1) return;
-  std::cerr << "usage: " << argv[0]
-            << " (no arguments; set ALLARM_BENCH_ACCESSES and ALLARM_JOBS)\n";
-  std::exit(2);
+  if (argc > 1) {
+    std::cerr << "usage: " << argv[0]
+              << " (no arguments; set ALLARM_BENCH_ACCESSES and "
+                 "ALLARM_JOBS)\n";
+    std::exit(2);
+  }
+  check_env(argv[0]);
 }
 
 /// Runs the built-in sweep grid `name` on ALLARM_JOBS workers, keeping only

@@ -48,9 +48,10 @@ bench::Row measure(const std::string& name, const SystemConfig& config,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const char* const kBench = "bench_kernel_throughput";
+  bench::check_env(kBench);  // --accesses defaults to ALLARM_BENCH_ACCESSES.
   const bench::Options opt = bench::parse_options(
-      "bench_kernel_throughput", argc, argv, core::bench_accesses(20000),
-      "BENCH_kernel.json");
+      kBench, argc, argv, core::bench_accesses(20000), "BENCH_kernel.json");
   const SystemConfig config;
   core::RunOptions ro;
   ro.seed = 42;
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
         workload::make_benchmark("dedup", config, opt.accesses);
     rows.push_back(measure("zipf", config, spec, ro, opt.reps));
   }
-  bench::report("bench_kernel_throughput", "kernel_throughput",
+  bench::report(kBench, "kernel_throughput",
                 "Event-kernel throughput", opt, rows);
   return 0;
 }

@@ -36,6 +36,7 @@
 #include "common/failpoint.hh"
 #include "common/fileio.hh"
 #include "common/parse.hh"
+#include "core/experiment.hh"
 #include "obs/timeline.hh"
 #include "service/service.hh"
 #include "service/spool.hh"
@@ -118,6 +119,9 @@ int main(int argc, char** argv) {
     if (enqueue_file.empty() != enqueue_as.empty()) {
       throw std::invalid_argument("--enqueue and --as go together");
     }
+    // ALLARM_JOBS sizes the pool without --workers; ALLARM_BENCH_ACCESSES
+    // sets the grids' default accesses.
+    allarm::core::check_bench_env();
   } catch (const std::exception& e) {
     std::cerr << "allarm_serve: " << e.what() << "\n";
     usage(std::cerr);

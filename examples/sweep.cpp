@@ -446,6 +446,9 @@ Options parse(int argc, char** argv) {
     std::cerr << "--trace/--cores only apply to --grid trace\n";
     usage(2);
   }
+  // ALLARM_JOBS and ALLARM_BENCH_ACCESSES are the --jobs/--accesses
+  // defaults: a malformed value is a usage error too.
+  core::check_bench_env();
   return options;
 }
 

@@ -134,6 +134,7 @@ Options parse(int argc, char** argv) {
       usage(2);
     }
   }
+  core::check_bench_env();  // ALLARM_BENCH_ACCESSES is record's default.
   return o;
 }
 

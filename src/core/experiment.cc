@@ -2,12 +2,14 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "common/parse.hh"
 #include "obs/timeline.hh"
 #include "trace/replay.hh"
 #include "trace/writer.hh"
@@ -99,22 +101,36 @@ RunResult run_request(const RunRequest& request, std::uint64_t deadline_ns) {
   return result;
 }
 
+namespace {
+
+/// Environment variable `name` through parse_u64 (at most `max`); 0 when
+/// it is unset or empty.
+std::uint64_t env_u64(const char* name, std::uint64_t max) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return 0;
+  return parse_u64(name, env, max);
+}
+
+}  // namespace
+
 std::uint64_t bench_accesses(std::uint64_t fallback) {
-  if (const char* env = std::getenv("ALLARM_BENCH_ACCESSES")) {
-    const std::uint64_t v = std::strtoull(env, nullptr, 10);
-    if (v > 0) return v;
-  }
-  return fallback;
+  const std::uint64_t v = env_u64("ALLARM_BENCH_ACCESSES",
+                                  std::numeric_limits<std::uint64_t>::max());
+  return v > 0 ? v : fallback;
 }
 
 std::uint32_t bench_jobs(std::uint32_t fallback) {
-  if (const char* env = std::getenv("ALLARM_JOBS")) {
-    const std::uint64_t v = std::strtoull(env, nullptr, 10);
-    if (v > 0 && v <= 4096) return static_cast<std::uint32_t>(v);
+  if (const std::uint64_t v = env_u64("ALLARM_JOBS", 4096)) {
+    return static_cast<std::uint32_t>(v);
   }
   if (fallback > 0) return fallback;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
+}
+
+void check_bench_env() {
+  bench_accesses(1);
+  bench_jobs(1);
 }
 
 }  // namespace allarm::core

@@ -74,13 +74,22 @@ struct RunRequest {
 RunResult run_request(const RunRequest& request, std::uint64_t deadline_ns = 0);
 
 /// Number of accesses per thread used by the figure benches.  Reads the
-/// ALLARM_BENCH_ACCESSES environment variable; defaults to `fallback`.
+/// ALLARM_BENCH_ACCESSES environment variable; when it is unset, empty or
+/// 0, returns `fallback`.  A value that is not a plain decimal number (say
+/// "20k") throws std::invalid_argument naming the variable.
 std::uint64_t bench_accesses(std::uint64_t fallback);
 
 /// Worker-thread count for sweeps and the ported benches.  Reads the
-/// ALLARM_JOBS environment variable; when unset or invalid, returns
-/// `fallback`, or std::thread::hardware_concurrency() (at least 1) when
-/// `fallback` is 0.
+/// ALLARM_JOBS environment variable (at most 4096); when it is unset, empty
+/// or 0, returns `fallback`, or std::thread::hardware_concurrency() (at
+/// least 1) when `fallback` is 0.  A malformed or larger value throws
+/// std::invalid_argument naming the variable.
 std::uint32_t bench_jobs(std::uint32_t fallback = 0);
+
+/// Parses ALLARM_BENCH_ACCESSES and ALLARM_JOBS once, throwing as the two
+/// readers above do.  Every CLI that reads them calls this while parsing
+/// its flags, so a malformed value is a usage error (exit 2) before any
+/// work starts, never a silent default halfway through a run.
+void check_bench_env();
 
 }  // namespace allarm::core

@@ -10,7 +10,8 @@
 // pop order is exact and independent of the heap's shape.
 //
 // Steady state performs no heap allocations: events store their callables
-// inline (sim::Event), and the node arena and heap recycle their capacity.
+// inline (sim::Event accepts only small trivially copyable closures), and
+// the node arena and heap recycle their capacity.
 // The schedule/execute path is defined inline below so call sites across
 // the simulator compile it down without crossing a translation-unit
 // boundary.
@@ -18,7 +19,6 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -30,8 +30,6 @@ namespace allarm::sim {
 /// Central event queue and simulation clock.
 class EventQueue {
  public:
-  using Action = Event;
-
   /// Current simulated time.
   Tick now() const { return now_; }
 
@@ -42,9 +40,8 @@ class EventQueue {
   std::size_t pending() const { return heap_.size(); }
 
   /// Schedules `action` to run at absolute time `when` (>= now()).  The
-  /// callable is constructed directly inside the queue's node arena — a
-  /// lambda at the call site reaches its execution slot with zero
-  /// intermediate Event moves.
+  /// callable must fit sim::Event (trivially copyable, at most
+  /// Event::kInlineBytes); any other callable does not compile.
   template <typename F>
   void schedule_at(Tick when, F&& action);
 
@@ -115,7 +112,6 @@ inline std::uint32_t EventQueue::make_node() {
 }
 
 inline void EventQueue::release_node(std::uint32_t index) {
-  nodes_[index].action = Event{};
   nodes_[index].next_free = free_head_;
   free_head_ = index;
 }
@@ -126,11 +122,7 @@ inline void EventQueue::schedule_at(Tick when, F&& action) {
     throw std::logic_error("EventQueue: scheduling into the past");
   }
   const std::uint32_t index = make_node();
-  if constexpr (std::is_same_v<std::decay_t<F>, Event>) {
-    nodes_[index].action = std::move(action);
-  } else {
-    nodes_[index].action.emplace(std::forward<F>(action));
-  }
+  nodes_[index].action = Event(std::forward<F>(action));
   // Sift up: move later parents down into the hole, then fill it.
   const Ref ref{when, seq_++, index};
   std::size_t hole = heap_.size();
@@ -184,7 +176,7 @@ inline bool EventQueue::run_one() {
   }
 
   now_ = top.when;
-  Event action = std::move(nodes_[top.node].action);
+  Event action = nodes_[top.node].action;
   release_node(top.node);
   ++executed_;
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 
 #include "coherence/messages.hh"
 #include "core/experiment.hh"
@@ -51,8 +52,14 @@ TEST(Experiment, BenchAccessesReadsEnvironment) {
   EXPECT_EQ(core::bench_accesses(1234), 1234u);
   setenv("ALLARM_BENCH_ACCESSES", "777", 1);
   EXPECT_EQ(core::bench_accesses(1234), 777u);
-  setenv("ALLARM_BENCH_ACCESSES", "garbage", 1);
+  setenv("ALLARM_BENCH_ACCESSES", "0", 1);
   EXPECT_EQ(core::bench_accesses(1234), 1234u);
+  // A malformed value used to run silently: "20k" as 20, "garbage" as the
+  // default.
+  for (const char* bad : {"garbage", "20k", "-5", "1e3"}) {
+    setenv("ALLARM_BENCH_ACCESSES", bad, 1);
+    EXPECT_THROW(core::bench_accesses(1234), std::invalid_argument) << bad;
+  }
   unsetenv("ALLARM_BENCH_ACCESSES");
 }
 

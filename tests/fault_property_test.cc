@@ -255,13 +255,13 @@ TEST_F(FaultProperty, QuarantinedShardsMergeAsDegradedNotMissing) {
   runner::StreamOptions options;
   options.quarantine = true;
   options.journal_path = j1;
-  options.shard = {1, 2};
+  options.shard = {1, 2, {}};
   {
     failpoint::Scoped guard("cell.job=err@0:0");  // Every job this shard owns.
     stream_json(spec, 1, options);
   }
   options.journal_path = j2;
-  options.shard = {2, 2};
+  options.shard = {2, 2, {}};
   stream_json(spec, 1, options);  // Healthy shard.
 
   std::ostringstream merged;

@@ -561,11 +561,11 @@ TEST(SpecHash, SensitiveToEverythingThatChangesResults) {
 // ------------------------------------------------------------- sharding ----
 
 TEST(ShardSpec, ValidatesBounds) {
-  EXPECT_NO_THROW((runner::ShardSpec{1, 1}).validate());
-  EXPECT_NO_THROW((runner::ShardSpec{3, 3}).validate());
-  EXPECT_THROW((runner::ShardSpec{0, 2}).validate(), std::invalid_argument);
-  EXPECT_THROW((runner::ShardSpec{3, 2}).validate(), std::invalid_argument);
-  EXPECT_THROW((runner::ShardSpec{1, 0}).validate(), std::invalid_argument);
+  EXPECT_NO_THROW((runner::ShardSpec{1, 1, {}}).validate());
+  EXPECT_NO_THROW((runner::ShardSpec{3, 3, {}}).validate());
+  EXPECT_THROW((runner::ShardSpec{0, 2, {}}).validate(), std::invalid_argument);
+  EXPECT_THROW((runner::ShardSpec{3, 2, {}}).validate(), std::invalid_argument);
+  EXPECT_THROW((runner::ShardSpec{1, 0, {}}).validate(), std::invalid_argument);
 }
 
 TEST(ShardSpec, PartitionsEveryCellExactlyOnce) {
@@ -574,7 +574,7 @@ TEST(ShardSpec, PartitionsEveryCellExactlyOnce) {
       for (std::uint64_t cell = 0; cell < cells; ++cell) {
         std::uint32_t owners = 0;
         for (std::uint32_t k = 1; k <= shards; ++k) {
-          if (runner::ShardSpec{k, shards}.owns_cell(cell)) ++owners;
+          if (runner::ShardSpec{k, shards, {}}.owns_cell(cell)) ++owners;
         }
         EXPECT_EQ(owners, 1u) << "cell " << cell << " of " << cells << " in "
                               << shards << " shards";
@@ -592,7 +592,7 @@ TEST(ShardSpec, EveryJobLandsInExactlyOneShard) {
     for (std::uint64_t job = 0; job < jobs.size(); ++job) {
       const std::uint64_t cell = job / spec.replicates;
       for (std::uint32_t k = 1; k <= shards; ++k) {
-        if (runner::ShardSpec{k, shards}.owns_cell(cell)) seen.insert(job);
+        if (runner::ShardSpec{k, shards, {}}.owns_cell(cell)) seen.insert(job);
       }
     }
     EXPECT_EQ(seen.size(), jobs.size());
@@ -736,11 +736,11 @@ TEST(Streaming, ShardsEmitDisjointCellsAndMergeReproducesTheWhole) {
 
   runner::StreamOptions options;
   options.journal_path = j1;
-  options.shard = {1, 2};
+  options.shard = {1, 2, {}};
   runner::StreamStats s1;
   stream_json(spec, 2, options, &s1);
   options.journal_path = j2;
-  options.shard = {2, 2};
+  options.shard = {2, 2, {}};
   runner::StreamStats s2;
   stream_json(spec, 2, options, &s2);
   EXPECT_EQ(s1.jobs_total + s2.jobs_total, spec.job_count());
@@ -766,10 +766,10 @@ TEST(Streaming, MergeRefusesACorruptShardInsteadOfDroppingItsJobs) {
 
   runner::StreamOptions options;
   options.journal_path = j1;
-  options.shard = {1, 2};
+  options.shard = {1, 2, {}};
   stream_json(spec, 2, options);
   options.journal_path = j2;
-  options.shard = {2, 2};
+  options.shard = {2, 2, {}};
   stream_json(spec, 2, options);
 
   // Rot one payload in shard 1: its job is untrusted, so the merge no
@@ -798,7 +798,7 @@ TEST(Streaming, MergeRejectsOverlapAndIncompleteCoverage) {
 
   runner::StreamOptions options;
   options.journal_path = j1;
-  options.shard = {1, 2};
+  options.shard = {1, 2, {}};
   stream_json(spec, 2, options);
 
   std::ostringstream out;

@@ -1,54 +1,21 @@
 // Allocation instrumentation for the event kernel.
 //
-// Overrides global operator new/delete with counting wrappers and asserts
-// the tentpole property of the allocation-free kernel: once warmed up,
-// scheduling and executing events whose closures fit sim::Event's inline
-// buffer performs ZERO heap allocations -- the node arena and the heap of
-// references both recycle their capacity.
+// Counts global operator new calls (tests/counting_new.hh) and asserts the
+// property of the allocation-free kernel: once warmed up, scheduling and
+// executing events performs ZERO heap allocations -- the node arena and
+// the heap of references both recycle their capacity.  That every closure
+// fits sim::Event's inline buffer is checked at compile time by Event's
+// constructor constraint.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
+#include <memory>
+#include <vector>
 
-#include "core/experiment.hh"
-#include "core/system.hh"
+#include "common/rng.hh"
+#include "counting_new.hh"
 #include "sim/event_queue.hh"
 #include "workload/profiles.hh"
-
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-// AddressSanitizer owns the global allocator; forwarding counting wrappers
-// to malloc/free trips its alloc-dealloc-mismatch checker.  Under ASan the
-// counters stay at zero (the zero-new assertions become vacuous) and the
-// suite's value is the sanitizer's own checking of the arena recycling.
-#if defined(__SANITIZE_ADDRESS__)
-#define ALLARM_COUNTING_NEW 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ALLARM_COUNTING_NEW 0
-#else
-#define ALLARM_COUNTING_NEW 1
-#endif
-#else
-#define ALLARM_COUNTING_NEW 1
-#endif
-
-#if ALLARM_COUNTING_NEW
-void* operator new(std::size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#endif  // ALLARM_COUNTING_NEW
 
 namespace allarm::sim {
 namespace {
@@ -84,18 +51,15 @@ TEST(KernelAllocations, SteadyStateSchedulesWithoutHeapAllocations) {
   }
   eq.run(10000);
 
-  const std::uint64_t fallbacks_before = Event::heap_fallbacks();
-  const std::uint64_t news_before = g_news.load(std::memory_order_relaxed);
+  const std::uint64_t news_before = test::allocations();
 
   // Measured steady state: tens of thousands of schedule/execute cycles.
   const std::uint64_t executed = eq.run(10000);
 
-  const std::uint64_t news_after = g_news.load(std::memory_order_relaxed);
+  const std::uint64_t news_after = test::allocations();
   EXPECT_EQ(executed, 10000u);
   EXPECT_EQ(news_after - news_before, 0u)
       << "event kernel allocated on the steady-state path";
-  EXPECT_EQ(Event::heap_fallbacks(), fallbacks_before)
-      << "an inline-sized closure fell back to the heap";
 }
 
 TEST(KernelAllocations, FarHorizonSteadyStateIsAllocationFree) {
@@ -112,9 +76,9 @@ TEST(KernelAllocations, FarHorizonSteadyStateIsAllocationFree) {
   for (int i = 0; i < 8; ++i) eq.schedule_in(i + 1, FarTicker{&eq, 5000});
   eq.run(2000);
 
-  const std::uint64_t news_before = g_news.load(std::memory_order_relaxed);
+  const std::uint64_t news_before = test::allocations();
   const std::uint64_t executed = eq.run(2000);
-  const std::uint64_t news_after = g_news.load(std::memory_order_relaxed);
+  const std::uint64_t news_after = test::allocations();
   EXPECT_EQ(executed, 2000u);
   EXPECT_EQ(news_after - news_before, 0u)
       << "long-delay traffic allocated in steady state";
@@ -140,7 +104,7 @@ TEST(KernelAllocations, SteadyStateGenerationIsAllocationFree) {
       std::make_unique<workload::ZipfPages>(0x1000, 1024, 0.9, 0.2));
   lengths.push_back(4096);
 
-  const std::uint64_t news_before = g_news.load(std::memory_order_relaxed);
+  const std::uint64_t news_before = test::allocations();
   for (std::size_t g = 0; g < generators.size(); ++g) {
     Rng rng(g + 1);
     Tick now = 0;
@@ -149,26 +113,9 @@ TEST(KernelAllocations, SteadyStateGenerationIsAllocationFree) {
       now += ticks_from_ns(2.0);
     }
   }
-  const std::uint64_t news_after = g_news.load(std::memory_order_relaxed);
+  const std::uint64_t news_after = test::allocations();
   EXPECT_EQ(news_after - news_before, 0u)
       << "access generation allocated after construction";
-}
-
-TEST(KernelAllocations, FullSystemRunNeverSpillsEventsToHeap) {
-  // End-to-end: every closure the simulator schedules across a whole
-  // multithreaded run must fit sim::Event's inline buffer.
-  const std::uint64_t fallbacks_before = Event::heap_fallbacks();
-  SystemConfig config;
-  const workload::WorkloadSpec spec =
-      workload::make_benchmark("ocean-cont", config, 500);
-  core::System system(config);
-  core::RunOptions options;
-  options.seed = 42;
-  options.migration_interval = ticks_from_ns(5000.0);
-  system.run(spec, options);
-  EXPECT_GT(system.events().events_executed(), 0u);
-  EXPECT_EQ(Event::heap_fallbacks(), fallbacks_before)
-      << "a simulator closure no longer fits Event::kInlineBytes";
 }
 
 }  // namespace

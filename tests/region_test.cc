@@ -6,52 +6,17 @@
 // under the counting-new harness (kernel_alloc_test pattern).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
+#include "counting_new.hh"
 #include "region/region.hh"
 #include "runner/report.hh"
 #include "runner/sweep.hh"
 #include "test_util.hh"
 #include "workload/profiles.hh"
-
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-// AddressSanitizer owns the global allocator; forwarding counting wrappers
-// to malloc/free trips its alloc-dealloc-mismatch checker.  Under ASan the
-// counters stay at zero (the zero-new assertions become vacuous) and the
-// suite's value is the sanitizer's own checking of the table recycling.
-#if defined(__SANITIZE_ADDRESS__)
-#define ALLARM_COUNTING_NEW 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ALLARM_COUNTING_NEW 0
-#else
-#define ALLARM_COUNTING_NEW 1
-#endif
-#else
-#define ALLARM_COUNTING_NEW 1
-#endif
-
-#if ALLARM_COUNTING_NEW
-void* operator new(std::size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#endif  // ALLARM_COUNTING_NEW
 
 namespace allarm {
 namespace {
@@ -353,11 +318,11 @@ TEST(RegionAllocations, SteadyStateChurnIsAllocationFree) {
     rd.collapse(0, 2);  // Withdraw the recollected entry again.
   }
 
-  const std::uint64_t news_before = g_news.load(std::memory_order_relaxed);
+  const std::uint64_t news_before = test::allocations();
   for (int round = 0; round < 64; ++round) {
     for (region::RegionNum r = 0; r < kRegions; ++r) churn(r);
   }
-  const std::uint64_t news_after = g_news.load(std::memory_order_relaxed);
+  const std::uint64_t news_after = test::allocations();
   EXPECT_EQ(news_after - news_before, 0u)
       << "region table churn allocated in steady state";
   EXPECT_EQ(rd.entries(), 0u);

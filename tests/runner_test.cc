@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "core/experiment.hh"
@@ -351,15 +352,32 @@ TEST_F(BenchJobsEnv, ReadsEnvironmentVariable) {
   EXPECT_EQ(core::bench_jobs(3), 5u);  // Env wins over the fallback.
 }
 
-TEST_F(BenchJobsEnv, FallsBackWhenUnsetOrInvalid) {
+TEST_F(BenchJobsEnv, FallsBackWhenUnsetEmptyOrZero) {
   EXPECT_EQ(core::bench_jobs(3), 3u);
   const unsigned hw = std::thread::hardware_concurrency();
   EXPECT_EQ(core::bench_jobs(), hw > 0 ? hw : 1u);
 
   setenv("ALLARM_JOBS", "0", 1);
   EXPECT_EQ(core::bench_jobs(3), 3u);
-  setenv("ALLARM_JOBS", "not-a-number", 1);
+  setenv("ALLARM_JOBS", "", 1);
   EXPECT_EQ(core::bench_jobs(3), 3u);
+  setenv("ALLARM_JOBS", "4096", 1);
+  EXPECT_EQ(core::bench_jobs(3), 4096u);
+}
+
+TEST_F(BenchJobsEnv, RejectsMalformedOrOversizedValues) {
+  for (const char* bad : {"not-a-number", "4k", "-1", " 2", "4097"}) {
+    setenv("ALLARM_JOBS", bad, 1);
+    EXPECT_THROW(core::bench_jobs(3), std::invalid_argument) << bad;
+    EXPECT_THROW(core::check_bench_env(), std::invalid_argument) << bad;
+  }
+  setenv("ALLARM_JOBS", "abc", 1);
+  try {
+    core::bench_jobs();
+    FAIL() << "ALLARM_JOBS=abc was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "ALLARM_JOBS: expected a number, got 'abc'");
+  }
 }
 
 TEST_F(BenchJobsEnv, SweepRunnerConsumesIt) {
